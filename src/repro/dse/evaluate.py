@@ -191,7 +191,6 @@ class CachedEvaluator:
     n_cores: int = 1
     journal_path: Optional[Union[str, Path]] = None
     resume: bool = False
-    cache_path: Optional[Union[str, Path]] = None
     #: Shared content-addressed result store (see :mod:`repro.store`):
     #: bound for in-process batches and carried into distributed
     #: shards, so repeated campaigns replay block results warm.
@@ -325,7 +324,6 @@ class CachedEvaluator:
                     fingerprint=self.fingerprint,
                     timeout_s=self.timeout_s or 0.0,
                     max_retries=self.max_retries,
-                    cache_path=self.cache_path,
                     store_path=self.store_path,
                     policy=self.exec_policy,
                     telemetry=self.telemetry,
@@ -339,7 +337,6 @@ class CachedEvaluator:
                     retry=RetryPolicy(max_retries=self.max_retries),
                     journal_path=self.journal_path,
                     resume=self._resume_next,
-                    cache_path=self.cache_path,
                     fingerprint=self.fingerprint,
                 )
                 with self._store_binding():

@@ -154,7 +154,6 @@ class CampaignExecutor:
     seed: int = 0
     timeout_s: float = 0.0
     max_retries: int = 1
-    cache_path: Optional[Union[str, Path]] = None
     #: Shared content-addressed result store: every shard binds it as
     #: its block-cache second tier, and the in-process path binds it
     #: locally.  Worker ``store.*`` counters fold into the supervisor's
@@ -238,7 +237,6 @@ class CampaignExecutor:
             retry=RetryPolicy(max_retries=self.max_retries),
             journal_path=self.journal_path,
             resume=self.resume,
-            cache_path=self.cache_path,
             seed=self.seed,
             fingerprint=fingerprint,
             max_leaked_threads=self.policy.max_leaked_threads,
@@ -320,7 +318,6 @@ class CampaignExecutor:
                         retry=RetryPolicy(max_retries=self.max_retries),
                         journal_path=journal,
                         resume=journal.exists(),
-                        cache_path=self.cache_path,
                         seed=self.seed,
                         fingerprint=fingerprint,
                         max_leaked_threads=self.policy.max_leaked_threads,

@@ -177,12 +177,10 @@ def run_shard(spec: ShardSpec) -> int:
     resumes from it when the file already exists (a respawn).  The
     shard's ``campaign`` fingerprint binds the journal, so a stale
     journal from a different campaign is rejected rather than
-    silently replayed.  Workers never share a whole-file block-cache
-    snapshot — concurrent ``.npz`` writers would race — so
-    ``cache_path`` stays unset; shared persistence instead rides
-    ``spec.store``, the content-addressed result store whose
-    append-only per-writer segments are safe under the whole fleet
-    (every shard binds the same store as its block-cache second tier).
+    silently replayed.  Shared persistence rides ``spec.store``, the
+    content-addressed result store whose append-only per-writer
+    segments are safe under the whole fleet (every shard binds the
+    same store as its block-cache second tier).
     """
     if spec.metrics or spec.telemetry:
         # Telemetry streams metrics deltas and spans, so it needs the

@@ -6,9 +6,10 @@ Three sections, mirroring where corpus sweeps actually spend time:
 - **enumeration** — per-kernel T1 task stream construction, legacy
   per-object generators vs the batched array builders (coalesce
   included, so the batched numbers pay their full cost);
-- **corpus_sweep** — end-to-end ``simulate_kernel`` over a corpus,
-  legacy (``batched=False``) vs fast (default) path, each mode with
-  its own fresh shared cache so the comparison is cold-start fair;
+- **corpus_sweep** — end-to-end over a corpus, the legacy per-object
+  ``simulate_tasks`` reference vs the fast ``simulate_kernel`` path,
+  each mode with its own fresh shared cache so the comparison is
+  cold-start fair;
 - **obs** — the observability layer's cost: warm sweep with tracing
   off vs on, plus the dormant null-span fast path measured directly
   (the <2%-when-disabled budget from ``docs/observability.md``);
@@ -50,7 +51,7 @@ from repro.kernels.taskstream import kernel_tasks
 from repro.kernels.vector import SparseVector
 from repro.registry import create_stc
 from repro.sim.blockcache import BlockCache
-from repro.sim.engine import simulate_kernel
+from repro.sim.engine import simulate_kernel, simulate_tasks
 from repro.workloads.suitesparse import MatrixSpec, corpus
 
 #: Report schema version; bump when the JSON layout changes.
@@ -184,9 +185,9 @@ def bench_corpus_sweep(
       block pattern pays one ``simulate_block`` call.  Cold time is
       dominated by the STC models themselves, which both paths share.
     - **warm** — the cache already holds every pattern, the regime a
-      sweep service actually runs in (``repro corpus`` persists and
-      pre-loads the cache via :mod:`repro.sim.cachestore` for exactly
-      this reason).  Warm time *is* the enumeration + aggregation
+      sweep service actually runs in (``repro corpus --store`` serves
+      repeated campaigns from a result store for exactly this
+      reason).  Warm time *is* the enumeration + aggregation
       overhead this layer owns, so the headline ``speedup`` is the
       warm ratio.
 
@@ -204,17 +205,22 @@ def bench_corpus_sweep(
         for kernel in kernels
     ]
 
+    def legacy(kernel, bbc, stc, cache, operands):
+        return simulate_tasks(stc, kernel_tasks(kernel, bbc, **operands),
+                              kernel=kernel, cache=cache)
+
+    def fast(kernel, bbc, stc, cache, operands):
+        return simulate_kernel(kernel, bbc, stc, cache=cache, **operands)
+
     def sweep(
-        batched: bool,
+        simulate: Callable,
         cache: BlockCache,
         digests: Optional[Dict[str, str]] = None,
     ) -> Dict[str, int]:
         totals = {"cycles": 0, "products": 0, "t1_tasks": 0}
         for name, bbc, kernel, operands in cases:
-            report = simulate_kernel(
-                kernel, bbc, create_stc("uni-stc"), batched=batched,
-                cache=cache, **operands
-            )
+            report = simulate(kernel, bbc, create_stc("uni-stc"), cache,
+                              operands)
             totals["cycles"] += report.cycles
             totals["products"] += report.products
             totals["t1_tasks"] += report.t1_tasks
@@ -240,8 +246,7 @@ def bench_corpus_sweep(
         cold_legacy_s = min(cold_legacy_s, _time_best(
             lambda: totals.__setitem__(
                 "legacy",
-                sweep(batched=False, cache=BlockCache(),
-                      digests=legacy_digests)),
+                sweep(legacy, BlockCache(), digests=legacy_digests)),
             1, label="sweep_cold_legacy",
         ))
         warm_cache = BlockCache()
@@ -249,8 +254,7 @@ def bench_corpus_sweep(
         cold_fast_s = min(cold_fast_s, _time_best(
             lambda: totals.__setitem__(
                 "fast",
-                sweep(batched=True, cache=warm_cache,
-                      digests=fast_digests)),
+                sweep(fast, warm_cache, digests=fast_digests)),
             1, label="sweep_cold_fast",
         ))
     legacy_totals, fast_totals = totals["legacy"], totals["fast"]
@@ -261,11 +265,11 @@ def bench_corpus_sweep(
     stats = warm_cache.stats.as_dict() | {"entries": len(warm_cache)}
 
     warm_legacy_s = _time_best(
-        lambda: sweep(batched=False, cache=warm_cache), repeat,
+        lambda: sweep(legacy, warm_cache), repeat,
         label="sweep_warm_legacy",
     )
     warm_fast_s = _time_best(
-        lambda: sweep(batched=True, cache=warm_cache), repeat,
+        lambda: sweep(fast, warm_cache), repeat,
         label="sweep_warm_fast",
     )
     return {

@@ -9,8 +9,8 @@ a cached block result), and the campaign classifies every injected
 fault as
 
 - **detected** — :meth:`BBCMatrix.validate` flags the corruption, the
-  kernel crashes on it, task-count accounting disagrees, or the cache
-  file's checksum rejects it;
+  kernel crashes on it, task-count accounting disagrees, or the result
+  store quarantines (or refuses to serve) a corrupted segment;
 - **masked** — the fault survives undetected but the observable output
   (numerics against :mod:`repro.kernels.reference`, or the simulated
   report) is unchanged;
@@ -24,21 +24,21 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.base import BlockResult
-from repro.errors import ConfigError, FormatError
+from repro.errors import ConfigError, DataCorruptionError, FormatError
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels import bbc_kernels, reference
 from repro.kernels.taskstream import kernel_tasks
 from repro.registry import create_stc
-from repro.sim import cachestore, engine
+from repro.sim import engine
 from repro.sim.engine import simulate_tasks
+from repro.store import ResultStore
 
 #: Every fault kind a campaign cycles through.
 FAULT_KINDS: Tuple[str, ...] = (
@@ -52,7 +52,7 @@ FAULT_KINDS: Tuple[str, ...] = (
     "task_dup",       # replay one T1 task
     "task_reorder",   # shuffle the T1 stream (should always be masked)
     "cache_result",   # poison one in-memory memoised block result
-    "cache_file",     # flip one byte of a persisted cache archive
+    "cache_file",     # flip one bit of a persisted result-store segment
 )
 
 #: Kinds that corrupt the stored matrix itself.
@@ -283,24 +283,35 @@ def _classify_task_fault(
     return "masked", "simulated totals unchanged"
 
 
-def _classify_cache_file_fault(rng: np.random.Generator) -> Tuple[str, str]:
-    """Persist the warm cache, flip one byte, try to load it back."""
+def _classify_cache_file_fault(
+    rng: np.random.Generator,
+    warm: List[Tuple[tuple, BlockResult]],
+) -> Tuple[str, str]:
+    """Persist ``warm`` to a scratch store, flip one bit, reopen it."""
     with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
-        path = Path(tmp) / "cache.npz"
-        cachestore.save_cache(path)
-        blob = bytearray(path.read_bytes())
+        with ResultStore(tmp) as store:
+            for key, result in warm:
+                store.insert(key, result)
+            store.flush()
+            (segment,) = store.segment_dir.glob("*.seg")
+        blob = bytearray(segment.read_bytes())
         pos = int(rng.integers(len(blob)))
         blob[pos] ^= 1 << int(rng.integers(8))
-        path.write_bytes(bytes(blob))
-        before = dict(engine._BLOCK_CACHE)
+        segment.write_bytes(bytes(blob))
         try:
-            cachestore.load_cache(path)
-        except FormatError as exc:
-            return "detected", f"load_cache rejected the archive: {exc}"
-        finally:
-            engine._BLOCK_CACHE.clear()
-            engine._BLOCK_CACHE.update(before)
-        return "masked", f"byte {pos} flip did not reach the payload"
+            with ResultStore(tmp, create=False) as reopened:
+                if reopened.stats.quarantined:
+                    return "detected", f"bit flip at byte {pos} quarantined the segment"
+                served = [(reopened.lookup(key), result) for key, result in warm]
+        except (DataCorruptionError, FormatError) as exc:
+            return "detected", f"store raised: {exc}"
+    if any(got is not None
+           and not np.array_equal(got.action_vector(), result.action_vector())
+           for got, result in served):
+        return "sdc", f"bit flip at byte {pos} served a wrong block result"
+    missed = sum(got is None for got, _ in served)
+    return "masked", (f"byte {pos} flip cost {missed} lookup miss(es), "
+                      "re-simulated on demand")
 
 
 def run_campaign(
@@ -347,6 +358,7 @@ def run_campaign(
     expected_weight = sum(t.weight for t in clean_tasks)
     clean_report = simulate_tasks(stc, clean_tasks, kernel=kernel, energy_model=None)
     cache_keys = sorted({(stc.cache_key(),) + t.cache_key() for t in clean_tasks})
+    warm = [(key, engine.get_cache()[key]) for key in cache_keys]
 
     report = CampaignReport(matrix=matrix_name, kernel=kernel, seed=seed)
     for i in range(trials):
@@ -374,8 +386,8 @@ def run_campaign(
             finally:
                 engine._BLOCK_CACHE[key] = original
         elif kind == "cache_file":
-            fault = InjectedFault(kind="cache_file", site="persisted archive byte flip")
-            outcome, detail = _classify_cache_file_fault(rng)
+            fault = InjectedFault(kind="cache_file", site="store segment bit flip")
+            outcome, detail = _classify_cache_file_fault(rng, warm)
         else:  # pragma: no cover - guarded by the kinds check above
             raise ConfigError(f"unhandled fault kind {kind!r}")
         report.trials.append(FaultOutcome(fault=fault, outcome=outcome, detail=detail))

@@ -113,7 +113,6 @@ class Session:
             retry=res.retry_policy(),
             journal_path=res.checkpoint or None,
             resume=res.resume,
-            cache_path=self.spec.cache.path or None,
             seed=self.spec.seed,
             fingerprint=fingerprint,
         )
@@ -153,7 +152,6 @@ class Session:
             seed=self.spec.seed,
             timeout_s=res.timeout_s,
             max_retries=res.max_retries,
-            cache_path=self.spec.cache.path or None,
             store_path=self.spec.cache.store_dir or None,
             policy=self.spec.exec,
             telemetry=self.spec.obs.telemetry,
@@ -242,7 +240,6 @@ class Session:
                 "max_retries": spec.resilience.max_retries,
                 "checkpoint": spec.resilience.checkpoint,
                 "resume": spec.resilience.resume,
-                "cache_path": spec.cache.path,
                 "store_dir": spec.cache.store_dir,
             },
         }

@@ -8,15 +8,14 @@ a bounded LRU with observable hit/miss/eviction counters:
 
 - the **engine** goes through :meth:`lookup` / :meth:`insert`, which
   update both the recency order and the statistics;
-- **persistence** (:mod:`repro.sim.cachestore`) and the
-  **fault-injection campaign** (:mod:`repro.resilience.faults`) use the
-  plain mapping protocol (``items()``, ``[]``, ``update`` ...), which
-  is statistics-neutral so bookkeeping traffic never skews the
-  measured hit rate.
+- the **fault-injection campaign** (:mod:`repro.resilience.faults`)
+  reads and restores entries through ``[]``, which is
+  statistics-neutral so bookkeeping traffic never skews the measured
+  hit rate.
 
-One instance is shared by every core of ``simulate_parallel`` and —
-via :mod:`repro.sim.cachestore` — persists between sweep cases and
-across processes.
+One instance is shared by every core of ``simulate_parallel`` and
+persists between sweep cases; results outlive the process only
+through a bound second tier.
 
 A :class:`BlockCache` may also be backed by a **second tier**: any
 object with ``lookup(key) -> Optional[BlockResult]`` and
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.arch.base import BlockResult
 from repro.errors import ConfigError
@@ -212,35 +211,11 @@ class BlockCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._data
-
-    def __iter__(self) -> Iterator[CacheKey]:
-        return iter(self._data)
-
     def __getitem__(self, key: CacheKey) -> BlockResult:
         return self._data[key]
 
     def __setitem__(self, key: CacheKey, result: BlockResult) -> None:
         self._data[key] = result
-        self._evict()
-
-    def get(self, key: CacheKey, default=None):
-        """Stats-neutral fetch (no recency update)."""
-        return self._data.get(key, default)
-
-    def keys(self):
-        return self._data.keys()
-
-    def values(self):
-        return self._data.values()
-
-    def items(self):
-        return self._data.items()
-
-    def update(self, other) -> None:
-        """Bulk, stats-neutral merge (eviction bound still enforced)."""
-        self._data.update(other)
         self._evict()
 
     def clear(self, reset_stats: bool = True) -> None:

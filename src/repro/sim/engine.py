@@ -12,14 +12,16 @@ across a corpus, which is what makes corpus-scale sweeps tractable in
 Python.  The memo lives in a bounded LRU
 (:class:`~repro.sim.blockcache.BlockCache`) with observable
 hit/miss/eviction statistics; one process-wide instance is shared by
-every core of ``simulate_parallel`` and persisted between sweep cases
-via :mod:`repro.sim.cachestore`.
+every core of ``simulate_parallel``; a bound
+:class:`repro.store.ResultStore` (:func:`store_tier`) persists it
+across processes.
 
-The default enumeration path is *batched*: tasks are built as
-array-of-bitmap-pairs (:mod:`repro.kernels.batched`), coalesced so
-each distinct pattern pair is simulated once, and aggregated with
-their combined weight — identical totals to the per-object generator
-path at a fraction of the Python overhead.
+Kernels enumerate *batched*: tasks are built as array-of-bitmap-pairs
+(:mod:`repro.kernels.batched`), coalesced so each distinct pattern
+pair is simulated once, and aggregated with their combined weight.
+:func:`simulate_tasks` runs an explicit per-object T1 stream (e.g.
+:func:`repro.kernels.taskstream.kernel_tasks`) — the reference the
+batched path is tested against, with identical totals.
 """
 
 from __future__ import annotations
@@ -37,14 +39,12 @@ from repro.arch.tasks import T1Task
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
 from repro.formats.bbc import BBCMatrix
 from repro.kernels.batched import TaskBatch, coalesce_raw, kernel_task_batches
-from repro.kernels.taskstream import kernel_tasks
 from repro.sim.blockcache import BlockCache, CacheStats
 from repro.sim.results import SimReport
 
 #: The process-wide memo.  Kept under its historic name because the
-#: persistence layer and the fault-injection campaign address it via
-#: the mapping protocol; the engine itself uses the stats-aware
-#: ``lookup``/``insert`` API.
+#: fault-injection campaign addresses it via the mapping protocol; the
+#: engine itself uses the stats-aware ``lookup``/``insert`` API.
 _BLOCK_CACHE = BlockCache()
 
 
@@ -268,7 +268,6 @@ def simulate_kernel(
     stc: STCModel,
     energy_model: Optional[EnergyModel] = DEFAULT_MODEL,
     matrix: Optional[str] = None,
-    batched: bool = True,
     cache: Optional[BlockCache] = None,
     **operands,
 ) -> SimReport:
@@ -278,20 +277,11 @@ def simulate_kernel(
     :class:`~repro.kernels.vector.SparseVector`) for SpMSpV, ``b_cols``
     for SpMM (default 64, the paper's setting), ``b`` (a second
     :class:`BBCMatrix`) for SpGEMM (default A, i.e. C = A^2).
-
-    ``batched=False`` falls back to the per-object generator path —
-    the reference implementation the batched one is tested against.
     """
     with obs.span("kernel", kernel=kernel.lower(), stc=stc.name,
-                  matrix=matrix, batched=batched):
-        if batched:
-            batches = kernel_task_batches(kernel, a, **operands)
-            return simulate_batches(
-                stc, batches, kernel=kernel.lower(), energy_model=energy_model,
-                matrix=matrix, cache=cache,
-            )
-        tasks = kernel_tasks(kernel, a, **operands)
-        return simulate_tasks(
-            stc, tasks, kernel=kernel.lower(), energy_model=energy_model,
+                  matrix=matrix):
+        batches = kernel_task_batches(kernel, a, **operands)
+        return simulate_batches(
+            stc, batches, kernel=kernel.lower(), energy_model=energy_model,
             matrix=matrix, cache=cache,
         )

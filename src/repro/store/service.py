@@ -47,6 +47,10 @@ logger = logging.getLogger(__name__)
 #: responses so memoised and freshly computed bodies are byte-identical.
 _EPHEMERAL_REPORT_FIELDS = ("wall_s", "cache")
 
+#: Largest accepted request body.  A run request is a few hundred
+#: bytes; anything above this is answered 413 without being read.
+MAX_REQUEST_BYTES = 1 << 20
+
 
 def _canonical_params(body: Dict[str, object]) -> Dict[str, object]:
     """Validate and normalise a ``/v1/run`` request body.
@@ -132,14 +136,26 @@ class SimulationService:
                 self._reply(status, payload)
 
             def do_POST(self):  # noqa: N802
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b""
                 try:
-                    status, payload = service.handle_post(self.path, raw)
+                    status, payload = self._post()
                 except Exception as exc:  # pragma: no cover - last resort
                     logger.exception("serve: POST %s failed", self.path)
                     status, payload = 500, {"error": str(exc)}
                 self._reply(status, payload)
+
+            def _post(self) -> Tuple[int, Dict[str, object]]:
+                # Validate the declared size before reading: a bad or
+                # negative length must not reach rfile.read().
+                header = (self.headers.get("Content-Length") or "0").strip()
+                if not (header.isascii() and header.isdigit()):
+                    return 400, {"error": "Content-Length must be a "
+                                          f"non-negative integer, got {header!r}"}
+                length = int(header)
+                if length > MAX_REQUEST_BYTES:
+                    return 413, {"error": f"request body of {length} bytes "
+                                          f"exceeds {MAX_REQUEST_BYTES}"}
+                raw = self.rfile.read(length) if length else b""
+                return service.handle_post(self.path, raw)
 
         self.server = ThreadingHTTPServer((host, port), Handler)
         self.server.daemon_threads = True
@@ -262,9 +278,17 @@ class SimulationService:
             if cached is not None:
                 # We waited behind the executing flight; serve its body.
                 return dict(cached, memoised=True)
-            body = self._execute(params, fp)
-            with self._mutex:
-                self._memo[fp] = body
+            try:
+                body = self._execute(params, fp)
+                with self._mutex:
+                    self._memo[fp] = body
+            finally:
+                # Later requests hit the memo before the flight lock (a
+                # failed run leaves its waiters to retry), so the lock
+                # is done: the map holds only in-flight requests.
+                with self._mutex:
+                    if self._flights.get(fp) is flight:
+                        del self._flights[fp]
             return dict(body, memoised=False)
 
     def _execute(self, params: Dict[str, object],

@@ -26,7 +26,7 @@ from repro.kernels.batched import (
 from repro.kernels.taskstream import kernel_tasks
 from repro.kernels.vector import SparseVector
 from repro.sim.blockcache import BlockCache
-from repro.sim.engine import simulate_kernel
+from repro.sim.engine import simulate_kernel, simulate_tasks
 from repro.sim.parallel import block_row_work, partition_block_rows
 from repro.workloads import synthetic
 
@@ -155,11 +155,12 @@ class TestEngineParity:
         counters, and energy all agree between the engine paths."""
         for a in matrices.values():
             operands = _operands(kernel, a)
-            legacy = simulate_kernel(
-                kernel, a, UniSTC(), batched=False, cache=BlockCache(), **operands
+            legacy = simulate_tasks(
+                UniSTC(), kernel_tasks(kernel, a, **operands), kernel=kernel,
+                cache=BlockCache(),
             )
             fast = simulate_kernel(
-                kernel, a, UniSTC(), batched=True, cache=BlockCache(), **operands
+                kernel, a, UniSTC(), cache=BlockCache(), **operands
             )
             assert fast.cycles == legacy.cycles
             assert fast.products == legacy.products

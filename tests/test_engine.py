@@ -126,7 +126,9 @@ class TestBatchedAggregation:
         cache = BlockCache()
         batch = _single_pair_batch([2, 3])  # coalesces to one pair, weight 5
         report = engine.simulate_batches(stc, [batch], cache=cache, energy_model=None)
-        (cached,) = cache.values()
+        assert len(cache) == 1
+        (task,) = {t.cache_key(): t for t in batch.iter_tasks()}.values()
+        cached = cache[(stc.cache_key(),) + task.cache_key()]
         assert cached.cycles == 10 and cached.products == 1
         assert report.cycles == 50 and report.products == 5
         assert report.t1_tasks == 5

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
+from repro.arch.unistc import UniSTC
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
+from repro.kernels.taskstream import kernel_tasks
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
     run_campaign,
 )
 from repro.sim import engine
+from repro.store import ResultStore
 from repro.workloads.suitesparse import corpus, iter_matrices
 from repro.workloads.synthetic import banded, random_uniform
 
@@ -184,6 +189,39 @@ class TestCampaign:
         engine.clear_cache()
         cold = simulate_kernel("spmv", bbc, UniSTC())
         assert warm.cycles == cold.cycles
+
+    def test_store_segment_flips_are_never_silent(self, tmp_path, monkeypatch):
+        """``cache_file`` trials persist the warm cache to a scratch
+        result store, flip one segment bit and reopen it: the store
+        must quarantine or miss, never serve a wrong result, and the
+        trials must touch neither the LRU nor the bound store."""
+        coo = banded(96, 12, 0.5, seed=5)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        with ResultStore(tmp_path / "bound") as bound, engine.store_tier(bound):
+            # Warm the LRU (writing through to the bound store) first,
+            # so the campaign's clean pass is served from memory.
+            run_campaign(coo, trials=1, seed=7, kinds=("task_reorder",))
+            cache = engine.get_cache()
+            keys = sorted({(UniSTC().cache_key(),) + t.cache_key()
+                           for t in kernel_tasks("spmv", BBCMatrix.from_coo(coo))})
+            entries = {key: cache[key] for key in keys}
+            assert len(cache) == len(entries)
+            segments = {p.name: p.read_bytes() for p in bound.segment_dir.iterdir()}
+            records = len(bound)
+
+            campaign = run_campaign(coo, trials=16, seed=7, kinds=("cache_file",))
+
+            assert campaign.totals()["sdc"] == 0
+            assert campaign.totals()["detected"] >= 1
+            assert any("quarantined" in t.detail for t in campaign.trials)
+            assert len(cache) == len(entries)
+            assert all(cache[key] is result for key, result in entries.items())
+            assert engine.bound_store() is bound and len(bound) == records
+            assert {p.name: p.read_bytes()
+                    for p in bound.segment_dir.iterdir()} == segments
+        assert list(scratch.iterdir()) == []
 
     def test_spmm_campaign_runs(self):
         campaign = run_campaign(

@@ -7,7 +7,12 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_layering.py"
 
 sys.path.insert(0, str(TOOL.parent))
-from check_layering import LAYERS, NAME_DISPATCH, PREFIX_SNIFF  # noqa: E402
+from check_layering import (  # noqa: E402
+    LAYERS,
+    NAME_DISPATCH,
+    PREFIX_SNIFF,
+    UNSAFE_DESERIALISE,
+)
 
 
 def test_tree_is_clean():
@@ -28,6 +33,18 @@ def test_prefix_sniff_pattern():
     assert PREFIX_SNIFF.search('if name.startswith("uni-stc"):')
     assert PREFIX_SNIFF.search("stc.startswith('nv-dtc-2:4')")
     assert not PREFIX_SNIFF.search('name.startswith("band:")')
+
+
+def test_unsafe_deserialise_pattern():
+    assert UNSAFE_DESERIALISE.search("np.load(path, allow_pickle=True)")
+    assert UNSAFE_DESERIALISE.search("import pickle")
+    assert UNSAFE_DESERIALISE.search("import os, pickle")
+    assert UNSAFE_DESERIALISE.search("    from pickle import loads")
+    assert UNSAFE_DESERIALISE.search("obj = pickle.loads(blob)")
+    assert UNSAFE_DESERIALISE.search("code = marshal.load(fh)")
+    assert not UNSAFE_DESERIALISE.search("np.load(path, allow_pickle=False)")
+    assert not UNSAFE_DESERIALISE.search("# never by pickled arrays")
+    assert not UNSAFE_DESERIALISE.search("json.loads(raw)")
 
 
 def test_dispatch_pattern_allows_data_tables():

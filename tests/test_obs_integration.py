@@ -8,9 +8,10 @@ from repro import obs
 from repro.arch.unistc import UniSTC
 from repro.cli import main
 from repro.errors import SimulationError
+from repro.kernels.taskstream import kernel_tasks
 from repro.resilience.runner import ResilientRunner, RetryPolicy
 from repro.sim.blockcache import BlockCache, CacheStats
-from repro.sim.engine import simulate_kernel
+from repro.sim.engine import simulate_kernel, simulate_tasks
 from repro.sim.parallel import simulate_parallel
 from repro.sim.sweep import ROW_COLUMNS, Sweep, rows_from_results
 from repro.workloads.synthetic import banded
@@ -71,8 +72,8 @@ class TestPerRunReportFields:
         assert second.cache_hit_rate == pytest.approx(1.0)
 
     def test_legacy_path_also_tracked(self, banded_bbc, uni):
-        report = simulate_kernel("spmv", banded_bbc, uni,
-                                 cache=BlockCache(), batched=False)
+        report = simulate_tasks(uni, kernel_tasks("spmv", banded_bbc),
+                                kernel="spmv", cache=BlockCache())
         assert report.wall_s > 0 and report.cache["inserts"] > 0
 
     def test_parallel_report_wall(self, banded_bbc):

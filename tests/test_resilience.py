@@ -25,8 +25,9 @@ from repro.resilience.runner import (
     RetryPolicy,
     classify_error,
 )
-from repro.sim import cachestore, engine
+from repro.sim import engine
 from repro.sim.sweep import Sweep
+from repro.store import ResultStore
 from repro.workloads.synthetic import banded
 
 
@@ -393,15 +394,26 @@ class TestJournalHardening:
 
 class TestCacheIntegration:
     def test_corrupt_cache_warns_and_rebuilds(self, tmp_path, caplog):
-        cache = tmp_path / "blocks.npz"
-        cache.write_bytes(b"this is not an npz archive")
-        with caplog.at_level("WARNING", logger="repro.sim.cachestore"):
-            summary = ResilientRunner(make_sweep(1), cache_path=cache).run()
-        assert summary.n_failed == 0
-        assert any("rebuilding cold" in r.message for r in caplog.records)
-        # The unusable file was replaced with a valid warm cache.
+        """A corrupt store segment is quarantined with a logged error;
+        the sweep neither aborts nor trusts it, and rebuilds cold."""
+        root = tmp_path / "blocks"
+        with ResultStore(root) as store, engine.store_tier(store):
+            ResilientRunner(make_sweep(1)).run()
+        (segment,) = (root / "segments").glob("*.seg")
+        blob = bytearray(segment.read_bytes())
+        blob[-1] ^= 0xFF  # inside the last record's payload: CRC mismatch
+        segment.write_bytes(bytes(blob))
         engine.clear_cache()
-        assert cachestore.load_cache(cache) > 0
+        with caplog.at_level("ERROR", logger="repro.store.resultstore"):
+            with ResultStore(root) as store, engine.store_tier(store):
+                summary = ResilientRunner(make_sweep(1)).run()
+                assert store.stats.quarantined == 1
+        assert summary.n_failed == 0
+        assert any("quarantined segment" in r.message for r in caplog.records)
+        # The cold rebuild wrote through to a fresh, clean segment.
+        with ResultStore(root) as store:
+            assert len(store) > 0
+            assert store.verify()["errors"] == []
 
 
 class TestCorpusCLI:

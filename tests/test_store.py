@@ -3,7 +3,7 @@
 Covers the on-disk format and its failure modes (torn tails, interior
 corruption, manifest drift), multi-writer convergence, gc/compaction,
 cross-process fingerprint stability, the block-cache second tier, and
-the legacy ``cachestore`` shim that routes store paths here.
+the resilient runner's round trip through a bound store.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.arch.tasks import UtilHistogram
 from repro.arch.unistc import UniSTC
 from repro.errors import DataCorruptionError, FormatError
 from repro.formats.bbc import BBCMatrix
-from repro.sim import cachestore, engine
+from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
 from repro.store import (
@@ -479,84 +479,27 @@ class TestBlockCacheTier:
         assert second.counters.as_dict() == first.counters.as_dict()
 
 
-class TestCachestoreShim:
-    def _warm_engine(self):
-        bbc = BBCMatrix.from_coo(banded(96, 10, 0.4, seed=1))
-        simulate_kernel("spmv", bbc, UniSTC())
-        assert engine.cache_size() > 0
-
-    def test_is_store_path(self, root, tmp_path):
-        assert cachestore.is_store_path(root) is False  # nothing there yet
-        ResultStore(root).close()
-        assert cachestore.is_store_path(root) is True
-        npz = tmp_path / "cache.npz"
-        npz.write_bytes(b"")
-        assert cachestore.is_store_path(npz) is False
-        # An empty directory may become a store; a non-empty directory
-        # without a manifest (a typo'd path, an output dir) must not be
-        # silently initialised as one.
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert cachestore.is_store_path(empty) is True
-        outputs = tmp_path / "outputs"
-        outputs.mkdir()
-        (outputs / "report.json").write_text("{}")
-        assert cachestore.is_store_path(outputs) is False
-
-    def test_save_cache_routes_to_store(self, root):
-        # An existing store directory routes the save; a path yet to
-        # be created is by contract a legacy .npz target (Session
-        # creates the store before any save reaches the shim).
-        ResultStore(root).close()
-        self._warm_engine()
-        written = cachestore.save_cache(root)
-        assert written == engine.cache_size()
-        with ResultStore(root) as store:
-            assert len(store) == written
-        # Re-saving writes nothing new: the return value counts
-        # appended records, not the store's total.
-        assert cachestore.save_cache(root) == 0
-
-    def test_load_cache_or_cold_binds_store(self, root):
-        ResultStore(root).close()
-        self._warm_engine()
-        entries = engine.cache_size()
-        cachestore.save_cache(root)
-        engine.clear_cache()
-        assert engine.bound_store() is None
-        assert cachestore.load_cache_or_cold(root) == entries
-        assert engine.bound_store() is not None
-        assert engine.bound_store().root == Path(root)
-
-    def test_migrate_cache_from_legacy_npz(self, root, tmp_path):
-        self._warm_engine()
-        npz = tmp_path / "cache.npz"
-        written = cachestore.save_cache(npz)
-        engine.clear_cache()
-        appended = cachestore.migrate_cache(npz, root)
-        assert appended == written
-        # Re-migration is a no-op: everything deduplicates.
-        assert cachestore.migrate_cache(npz, root) == 0
-        with ResultStore(root) as store:
-            assert len(store) == written
-            assert store.verify()["errors"] == []
-
+class TestRunnerStoreRoundTrip:
     def test_resilient_runner_end_to_end(self, root):
-        from repro.resilience.runner import ResilientRunner
+        from repro.runtime import CachePolicy, RunSpec, Session
         from repro.sim.sweep import Sweep
 
-        ResultStore(root).close()  # an existing store routes the shim
         matrices = {"banded": banded(96, 10, 0.4, seed=2)}
         sweep = Sweep.from_names(matrices, ["uni-stc"], ["spmv"])
-        first = ResilientRunner(sweep=sweep, cache_path=root).run()
+        spec = RunSpec("corpus", cache=CachePolicy(store_dir=str(root)),
+                       manifest_dir="")
+        with Session(spec) as session:
+            first = session.runner(sweep).run()
+        assert engine.bound_store() is None
         engine.clear_cache()
-        engine.unbind_store()
         with ResultStore(root) as store:
             records = len(store)
         assert records > 0
 
+        # A "new process": empty LRU, the store bound as its second tier.
         before = engine.cache_stats().snapshot()
-        second = ResilientRunner(sweep=sweep, cache_path=root).run()
+        with Session(spec) as session:
+            second = session.runner(sweep).run()
         delta = engine.cache_stats().delta(before)
         assert delta.store_hits == records  # replayed, not re-simulated
         assert delta.store_misses == 0

@@ -9,6 +9,7 @@ and request validation.
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from repro import obs
 from repro.errors import FormatError
 from repro.sim import engine
 from repro.store import SimulationService
-from repro.store.service import _canonical_params
+from repro.store.service import MAX_REQUEST_BYTES, _canonical_params
 
 RUN_BODY = {
     "matrices": ["band:64:8:0.4"],
@@ -50,6 +51,24 @@ def _post(service, path, body):
             return resp.status, json.loads(resp.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode("utf-8"))
+
+
+def _raw_post(service, content_length):
+    """POST headers only, declaring ``content_length``; the socket
+    timeout turns a server blocked on the body into a failure."""
+    head = (f"POST /v1/run HTTP/1.1\r\nHost: {service.host}\r\n"
+            f"Content-Length: {content_length}\r\n"
+            "Connection: close\r\n\r\n")
+    with socket.create_connection((service.host, service.port),
+                                  timeout=5) as sock:
+        sock.sendall(head.encode("ascii"))
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    assert status_line, "connection closed without an HTTP reply"
+    _, _, body = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(body.decode("utf-8"))
 
 
 @pytest.fixture()
@@ -132,6 +151,14 @@ class TestRun:
         # (per-request binding used to race and unbind it mid-sweep).
         assert engine.bound_store() is service.store
 
+    def test_flight_locks_do_not_accumulate(self, service):
+        for n in (32, 40, 48):
+            status, _ = _post(service, "/v1/run",
+                              dict(RUN_BODY, matrices=[f"band:{n}:8:0.4"]))
+            assert status == 200
+        assert service.executions == 3
+        assert len(service._flights) == 0
+
     def test_store_binding_scoped_to_service_lifetime(self, tmp_path):
         engine.unbind_store()
         svc = SimulationService(tmp_path / "store", port=0).start()
@@ -196,6 +223,19 @@ class TestValidation:
         status, body = _post(
             service, "/v1/run", dict(RUN_BODY, matrices=["nope:1:2"]))
         assert status == 400 and "bad run request" in body["error"]
+        assert service.executions == 0
+
+    def test_non_integer_content_length_is_400(self, service):
+        status, body = _raw_post(service, "lots")
+        assert status == 400 and "Content-Length" in body["error"]
+
+    def test_negative_content_length_is_400(self, service):
+        status, body = _raw_post(service, -1)
+        assert status == 400 and "Content-Length" in body["error"]
+
+    def test_oversize_content_length_is_413(self, service):
+        status, body = _raw_post(service, MAX_REQUEST_BYTES + 1)
+        assert status == 413 and str(MAX_REQUEST_BYTES) in body["error"]
         assert service.executions == 0
 
     def test_canonical_params_normalises(self):

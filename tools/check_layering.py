@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Import-layering and STC-name-hygiene lint.
+"""Import-layering, STC-name-hygiene and safe-deserialisation lint.
 
-Two checks, both enforcing the architecture in docs/architecture.md:
+Three checks, all enforcing the architecture in docs/architecture.md:
 
 1. **Layering** — every package in ``src/repro`` has a layer rank;
    a module may only (unconditionally, at module scope) import repro
@@ -18,6 +18,12 @@ Two checks, both enforcing the architecture in docs/architecture.md:
    (``{"uni-stc": UniSTC}``).  Data tables keyed by name with scalar
    values (paper reference numbers) are allowed; name-to-behaviour
    mapping belongs to the registry alone.
+
+3. **No unsafe deserialisation** — nothing under ``src/repro`` may
+   unpickle: no ``allow_pickle=True``, no ``pickle`` import, no
+   ``pickle.load(s)``/``marshal.load(s)``.  Every input from disk or
+   the network goes through a validating decoder instead (JSON, the
+   result store's CRC-framed records).
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
@@ -75,6 +81,11 @@ LAYERS = {
 STC_NAMES = r"(?:uni-stc|nv-dtc(?:-2:4)?|rm-stc|ds-stc|gamma|sigma|trapezoid)"
 PREFIX_SNIFF = re.compile(r"\.startswith\(\s*[\"']" + STC_NAMES)
 NAME_DISPATCH = re.compile(r"[\"']" + STC_NAMES + r"[\"']\s*:\s*[A-Za-z_]")
+UNSAFE_DESERIALISE = re.compile(
+    r"allow_pickle\s*=\s*True"
+    r"|^\s*(?:import\s+(?:[\w.]+\s*,\s*)*|from\s+)c?pickle\b"
+    r"|\b(?:c?pickle|marshal)\.loads?\("
+)
 
 
 def package_of(path: Path) -> str:
@@ -138,8 +149,20 @@ def check_stc_name_hygiene() -> list[str]:
     return errors
 
 
+def check_unsafe_deserialisation() -> list[str]:
+    errors = []
+    for path, _ in iter_modules():
+        for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), start=1):
+            if UNSAFE_DESERIALISE.search(line):
+                errors.append(f"{path}:{lineno}: unsafe deserialisation: "
+                              f"{line.strip()}")
+    return errors
+
+
 def main() -> int:
-    errors = check_layering() + check_stc_name_hygiene()
+    errors = (check_layering() + check_stc_name_hygiene()
+              + check_unsafe_deserialisation())
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
