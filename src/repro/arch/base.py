@@ -100,9 +100,10 @@ class STCModel(ABC):
         """Evaluate a batch of block tasks; ``results[i]`` is ``tasks[i]``'s.
 
         The default steps :meth:`simulate_block` per task.  Models with
-        a vectorised path (:class:`~repro.arch.unistc.UniSTC`) override
-        this; overrides must return results equal to the per-block path
-        — the engine's memo treats the two interchangeably.
+        a vectorised path (:class:`~repro.arch.unistc.UniSTC`, RM-STC,
+        DS-STC; see :mod:`repro.arch.batching`) override this;
+        overrides must return results equal to the per-block path — the
+        engine's memo treats the two interchangeably.
         """
         return [self.simulate_block(task) for task in tasks]
 

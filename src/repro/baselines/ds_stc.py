@@ -18,11 +18,38 @@ model reproduces DS-STC's published strengths and weaknesses:
 
 from __future__ import annotations
 
-from repro.arch.base import BlockResult, STCModel
+from typing import List, Sequence
+
+import numpy as np
+
+from repro.arch.base import VECTOR_WIDTH, BlockResult, STCModel
+from repro.arch.batching import (
+    ACTION_COL,
+    box_rows,
+    evaluate_grouped,
+    stack_operands,
+    util_bin,
+)
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.baselines.common import ceil_div, chunks, operand_arrays
+
+
+#: Counter insertion order of :meth:`DsSTC.simulate_block`.
+_STEP_ORDER = (
+    "meta_reads",
+    "a_elem_reads",
+    "a_net_transfers",
+    "b_elem_reads",
+    "b_net_transfers",
+    "mac_ops",
+    "c_elem_writes",
+    "c_net_transfers",
+    "accum_accesses",
+    "lane_cycles",
+    "sched_cycles",
+)
 
 
 class DsSTC(STCModel):
@@ -79,3 +106,59 @@ class DsSTC(STCModel):
         counters.add("lane_cycles", self.macs * cycles)
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Closed-form batch evaluation; equal to :meth:`simulate_block`.
+
+        Per block and K layer, with ``na = |A[:, k]|`` and
+        ``nb = |B[k, :]|``, the layer issues ``ceil(na / chunk_a) *
+        ceil(nb / chunk_b)`` cycles and ``na * nb`` products, and every
+        cycle is one of four (full | remainder A chunk) x (full |
+        remainder B chunk) shapes — so the whole batch reduces to
+        integer array ops over ``[N, 16]`` popcounts.
+        """
+        return evaluate_grouped(tasks, self._evaluate_group)
+
+    def _evaluate_group(self, tasks: List[T1Task]) -> List[BlockResult]:
+        a, b = stack_operands(tasks)
+        na = a.sum(axis=1, dtype=np.int64)            # [N, k] A column counts
+        nb = b.sum(axis=2, dtype=np.int64)            # [N, k] B row counts
+        live = (na > 0) & (nb > 0)
+        a_chunks = -(-na // self.chunk_a)
+        b_chunks = -(-nb // self.chunk_b)
+        products = (na * nb).sum(axis=1)
+        cycles = (a_chunks * b_chunks).sum(axis=1)
+        b_reads = (nb * a_chunks).sum(axis=1)
+
+        # Cycle shapes: ``full`` chunks plus at most one remainder chunk
+        # per operand; each (A shape, B shape) combination issues
+        # count_a * count_b cycles of ca * cb products.
+        bins = np.zeros((len(tasks), 4), dtype=np.int64)
+        shapes_a = ((na // self.chunk_a, self.chunk_a),
+                    ((na % self.chunk_a > 0).astype(np.int64), na % self.chunk_a))
+        shapes_b = ((nb // self.chunk_b, self.chunk_b),
+                    ((nb % self.chunk_b > 0).astype(np.int64), nb % self.chunk_b))
+        for count_a, ca in shapes_a:
+            for count_b, cb in shapes_b:
+                count = count_a * count_b
+                slot = util_bin(ca * cb, self.macs)
+                for bin_index in range(4):
+                    bins[:, bin_index] += (count * (slot == bin_index)).sum(axis=1)
+        idle = cycles == 0
+        bins[idle, 0] = 1
+        cycles = np.where(idle, 1, cycles)
+
+        rows = np.zeros((len(tasks), VECTOR_WIDTH), dtype=np.int64)
+        rows[:, 0] = cycles
+        rows[:, 1] = products
+        rows[:, 2:6] = bins
+        rows[:, ACTION_COL["meta_reads"]] = 2 * live.sum(axis=1)
+        for name in ("a_elem_reads", "a_net_transfers"):
+            rows[:, ACTION_COL[name]] = (na * live).sum(axis=1)
+        for name in ("b_elem_reads", "b_net_transfers"):
+            rows[:, ACTION_COL[name]] = b_reads
+        for name in ("mac_ops", "c_elem_writes", "c_net_transfers", "accum_accesses"):
+            rows[:, ACTION_COL[name]] = products
+        rows[:, ACTION_COL["lane_cycles"]] = self.macs * cycles
+        rows[:, ACTION_COL["sched_cycles"]] = cycles
+        return box_rows(rows, _STEP_ORDER)

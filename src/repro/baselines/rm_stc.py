@@ -20,15 +20,58 @@ keeps its published limitations:
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import VECTOR_WIDTH, BlockResult, STCModel
+from repro.arch.batching import (
+    ACTION_COL,
+    box_rows,
+    evaluate_grouped,
+    stack_operands,
+    util_bin,
+)
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.baselines.common import operand_arrays
+
+
+#: Counter insertion order of :meth:`RmSTC.simulate_block`.
+_STEP_ORDER = (
+    "a_elem_reads",
+    "a_net_transfers",
+    "meta_reads",
+    "b_elem_reads",
+    "b_net_transfers",
+    "c_elem_writes",
+    "c_net_transfers",
+    "accum_accesses",
+    "mac_ops",
+    "lane_cycles",
+    "sched_cycles",
+)
+
+
+@lru_cache(maxsize=None)
+def _mask_tables(chunk_cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Popcount and live-column chunking tables over 16-bit column masks.
+
+    Returns ``(popcount[mask], chunk_masks[mask, c])``, where
+    ``chunk_masks[mask, c]`` keeps the set bits of ``mask`` whose rank
+    among them falls in chunk ``c`` — the columns one lane-slot covers.
+    """
+    masks = np.arange(1 << 16, dtype=np.uint32)[:, None]
+    bits = ((masks >> np.arange(16, dtype=np.uint32)) & 1).astype(np.uint8)
+    chunk_of_bit = (np.cumsum(bits, axis=1, dtype=np.int16) - 1) // chunk_cols
+    weights = 1 << np.arange(16, dtype=np.int64)
+    chunks = -(-16 // chunk_cols)
+    chunk_masks = np.stack(
+        [(bits * (chunk_of_bit == c)) @ weights for c in range(chunks)], axis=1
+    ).astype(np.uint16)
+    return bits.sum(axis=1, dtype=np.int64), chunk_masks
 
 
 class RmSTC(STCModel):
@@ -122,3 +165,114 @@ class RmSTC(STCModel):
         return BlockResult(
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Batch evaluation over (block, row, k-pair) triples.
+
+        Equal to :meth:`simulate_block` result for result.  Each A row's
+        nonzeros pair up in K order; a pair's merged B row is the union
+        of two 16-bit B row masks, and its lane-slots are the
+        ``chunk_cols``-wide chunks of that union's live columns (table
+        lookups per pair).  The greedy longest-row-first lane schedule
+        runs as 16 vectorised ``argmin`` steps over ``[N, lanes]``.
+        """
+        return evaluate_grouped(tasks, self._evaluate_group)
+
+    def _evaluate_group(self, tasks: List[T1Task]) -> List[BlockResult]:
+        a, b = stack_operands(tasks)
+        count = len(tasks)
+        popcount, chunk_masks = _mask_tables(self.chunk_cols)
+        b_masks = b.view(np.uint8) @ (1 << np.arange(b.shape[2], dtype=np.int64))
+        nb = b.sum(axis=2, dtype=np.int64)                       # [N, k]
+
+        # Nonzeros of A in (block, row, k) order; a row's rank-th nonzero
+        # belongs to pair rank // k_pair.  Consecutive nonzeros of one
+        # pair are adjacent in this order.
+        qq, ii, kk = np.nonzero(a)
+        row_id = qq * 16 + ii
+        rank = np.cumsum(a, axis=2, dtype=np.int16)[qq, ii, kk] - 1
+        first = np.nonzero(rank % self.k_pair == 0)[0]
+        pair_row = row_id[first]
+        pair_block = qq[first]
+        merged = b_masks[pair_block, kk[first]]                   # live-column union
+        both = np.zeros_like(merged)                              # columns hit twice
+        total = popcount[merged]                                  # pair products
+        members = [first]
+        for step in range(1, self.k_pair):
+            nxt = np.minimum(first + step, rank.size - 1)
+            has = (nxt == first + step) & (row_id[nxt] == pair_row)
+            mask = np.where(has, b_masks[pair_block, kk[nxt]], 0)
+            both |= merged & mask
+            merged |= mask
+            total += popcount[mask]
+            members.append(np.where(has, nxt, -1))
+        live = popcount[merged]                                   # merged live columns
+        slots = -(-live // self.chunk_cols)
+
+        # used_ks: every K of a pair with live columns, as a scatter.
+        used = np.zeros((count, 16), dtype=bool)
+        for member in members:
+            ok = (member >= 0) & (live > 0)
+            used[pair_block[ok], kk[member[ok]]] = True
+
+        # Per-row lane-slot counts, then the greedy schedule: rows in
+        # descending slot count (ties by row index — ``sorted`` is
+        # stable) onto the first least-loaded lane.
+        row_slots = np.bincount(pair_row, weights=slots, minlength=count * 16)
+        row_slots = row_slots.astype(np.int64).reshape(count, 16)
+        order = np.argsort(-row_slots, axis=1, kind="stable")
+        loads = np.zeros((count, self.lanes), dtype=np.int64)
+        row_start = np.zeros((count, 16), dtype=np.int64)
+        blocks = np.arange(count)
+        for position in range(16):
+            row = order[:, position]
+            length = row_slots[blocks, row]
+            if not length.any():
+                break  # the remaining rows carry no slots
+            lane = loads.argmin(axis=1)
+            row_start[blocks, row] = loads[blocks, lane]
+            loads[blocks, lane] += length
+        cycles = loads.max(axis=1)
+
+        # Every slot (pair, chunk) lands at cycle row_start + its offset
+        # in the row's slot list; one bincount gives per-cycle products.
+        pair_offset = np.cumsum(slots) - slots
+        row_begin = np.ones(pair_row.size, dtype=bool)
+        row_begin[1:] = pair_row[1:] != pair_row[:-1]
+        begin_index = np.maximum.accumulate(np.where(row_begin, np.arange(pair_row.size), 0))
+        pair_offset = pair_offset - pair_offset[begin_index]
+        pair_cycle = row_start.reshape(-1)[pair_row] + pair_offset
+        cycle_base = np.cumsum(cycles) - cycles
+        chunk = chunk_masks[merged]                               # [pairs, chunks]
+        eff = popcount[chunk] + popcount[chunk & both[:, None]]
+        in_row = np.arange(chunk.shape[1]) < slots[:, None]
+        slot_cycle = (cycle_base[pair_block] + pair_cycle)[:, None] + np.arange(chunk.shape[1])
+        cycle_eff = np.bincount(
+            slot_cycle[in_row], weights=eff[in_row], minlength=int(cycles.sum())
+        ).astype(np.int64)
+        block_of_cycle = np.repeat(blocks, cycles)
+        bins = np.bincount(
+            block_of_cycle * 4 + util_bin(cycle_eff, self.macs), minlength=count * 4
+        ).reshape(count, 4)
+        idle = cycles == 0
+        bins[idle, 0] = 1
+        cycles = np.where(idle, 1, cycles)
+
+        writes = np.bincount(pair_block, weights=live, minlength=count).astype(np.int64)
+        products = np.bincount(pair_block, weights=total, minlength=count).astype(np.int64)
+        b_traffic = (nb * used).sum(axis=1)
+        rows = np.zeros((count, VECTOR_WIDTH), dtype=np.int64)
+        rows[:, 0] = cycles
+        rows[:, 1] = products
+        rows[:, 2:6] = bins
+        for name in ("a_elem_reads", "a_net_transfers"):
+            rows[:, ACTION_COL[name]] = a.sum(axis=(1, 2))
+        rows[:, ACTION_COL["meta_reads"]] = a.any(axis=2).sum(axis=1)
+        for name in ("b_elem_reads", "b_net_transfers"):
+            rows[:, ACTION_COL[name]] = b_traffic
+        for name in ("c_elem_writes", "c_net_transfers", "accum_accesses"):
+            rows[:, ACTION_COL[name]] = writes
+        rows[:, ACTION_COL["mac_ops"]] = products
+        rows[:, ACTION_COL["lane_cycles"]] = self.macs * cycles
+        rows[:, ACTION_COL["sched_cycles"]] = cycles
+        return box_rows(rows, _STEP_ORDER)

@@ -25,6 +25,7 @@ from repro.kernels.batched import (
 )
 from repro.kernels.taskstream import kernel_tasks
 from repro.kernels.vector import SparseVector
+from repro.registry import create_stc
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel, simulate_tasks
 from repro.sim.parallel import block_row_work, partition_block_rows
@@ -172,6 +173,28 @@ class TestEngineParity:
             for action, count in legacy_counters.items():
                 assert fast_counters[action] == pytest.approx(count)
             assert fast.energy_pj == pytest.approx(legacy.energy_pj)
+
+    @pytest.mark.parametrize("stc", ["ds-stc", "rm-stc"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_baseline_routes_identical(self, matrices, kernel, stc):
+        """The batched closed-form baselines and the per-task stepped
+        route give exactly equal reports — counters are integers."""
+        for a in matrices.values():
+            operands = _operands(kernel, a)
+            legacy = simulate_tasks(
+                create_stc(stc), kernel_tasks(kernel, a, **operands),
+                kernel=kernel, cache=BlockCache(),
+            )
+            fast = simulate_kernel(
+                kernel, a, create_stc(stc), cache=BlockCache(), **operands
+            )
+            assert fast.cycles == legacy.cycles
+            assert fast.products == legacy.products
+            assert fast.t1_tasks == legacy.t1_tasks
+            assert np.array_equal(fast.util_hist.bins, legacy.util_hist.bins)
+            assert fast.counters.as_dict() == legacy.counters.as_dict()
+            assert fast.energy_breakdown == legacy.energy_breakdown
+            assert fast.energy_pj == legacy.energy_pj
 
     def test_empty_matrix_all_kernels(self):
         empty = BBCMatrix.from_coo(synthetic.random_uniform(64, 64, 0.0, seed=1))

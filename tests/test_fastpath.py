@@ -160,9 +160,10 @@ class TestBatchedParity:
         _assert_results_equal(batch, stepped, "mixed-width")
 
     def test_baseline_models_honour_block_api(self, corpus_tasks):
-        """Models without a vectorised path fall back per block."""
+        """Models without a vectorised path fall back per block (the
+        batched RM-STC/DS-STC paths: tests/test_baseline_fastpath.py)."""
         some = corpus_tasks[:20]
-        for name in ("ds-stc", "rm-stc"):
+        for name in ("gamma", "sigma", "trapezoid", "nv-dtc"):
             stc = create_stc(name)
             batch = stc.simulate_blocks(some)
             stepped = [stc.simulate_block(t) for t in some]
