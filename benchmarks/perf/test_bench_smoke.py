@@ -75,6 +75,7 @@ def test_bench_smoke_report_structure(tmp_path):
     assert st["cases"] == sweep["cases"]
     assert st["records"] > 0 and st["store_bytes"] > 0
     assert st["cold_seconds"] > 0 and st["warm_seconds"] > 0
+    assert st["warm_lru_seconds"] > 0 and st["warm_over_lru"] > 0
     # The warm pass replays with an empty LRU against the store the
     # cold pass populated: every lookup must hit, every byte must come
     # from the store, and every report must be digest-identical.

@@ -86,6 +86,21 @@ class BlockResult:
         return self.products / lanes if lanes else 0.0
 
 
+def result_rows(results: Sequence[BlockResult]) -> np.ndarray:
+    """Stack results as one ``[N, VECTOR_WIDTH]`` action-row matrix.
+
+    The row matrix is the engine's, LRU's and store's currency.  It is
+    int64 unless some result's counters are genuinely fractional, in
+    which case the whole matrix is float64.
+    """
+    if not results:
+        return np.zeros((0, VECTOR_WIDTH), dtype=np.int64)
+    rows = [result.action_vector_int() for result in results]
+    if any(row is None for row in rows):
+        rows = [result.action_vector() for result in results]
+    return np.stack(rows)
+
+
 class STCModel(ABC):
     """Abstract sparse tensor core: a per-block dataflow model."""
 

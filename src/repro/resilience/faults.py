@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.base import BlockResult
 from repro.errors import ConfigError, DataCorruptionError, FormatError
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
@@ -211,18 +210,19 @@ class FaultInjector:
 
     # -- cached-result faults --------------------------------------------
 
-    def corrupt_cached_result(self, key: tuple) -> Tuple[BlockResult, InjectedFault]:
-        """Poison one memoised block result in place; returns the original."""
+    def corrupt_cached_result(self, key: tuple) -> Tuple[np.ndarray, InjectedFault]:
+        """Poison one memoised row's cycles slot; returns the original row.
+
+        The cache holds read-only rows, so the poison goes into a copy
+        that replaces the entry; restoring puts the original back.
+        """
         original = engine._BLOCK_CACHE[key]
         delta = int(self.rng.integers(1, 1000))
-        engine._BLOCK_CACHE[key] = BlockResult(
-            cycles=original.cycles + delta,
-            products=original.products,
-            util_hist=original.util_hist,
-            counters=original.counters,
-        )
+        poisoned = original.copy()
+        poisoned[0] += delta
+        engine._BLOCK_CACHE[key] = poisoned
         return original, InjectedFault(
-            kind="cache_result", site=f"cached cycles {original.cycles:+d}{delta:+d}"
+            kind="cache_result", site=f"cached cycles {int(original[0]):+d}{delta:+d}"
         )
 
 
@@ -285,13 +285,13 @@ def _classify_task_fault(
 
 def _classify_cache_file_fault(
     rng: np.random.Generator,
-    warm: List[Tuple[tuple, BlockResult]],
+    keys: List[tuple],
+    rows: np.ndarray,
 ) -> Tuple[str, str]:
-    """Persist ``warm`` to a scratch store, flip one bit, reopen it."""
+    """Persist the warm ``rows`` to a scratch store, flip one bit, reopen it."""
     with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
         with ResultStore(tmp) as store:
-            for key, result in warm:
-                store.insert(key, result)
+            store.insert_many(keys, rows)
             store.flush()
             (segment,) = store.segment_dir.glob("*.seg")
         blob = bytearray(segment.read_bytes())
@@ -302,14 +302,12 @@ def _classify_cache_file_fault(
             with ResultStore(tmp, create=False) as reopened:
                 if reopened.stats.quarantined:
                     return "detected", f"bit flip at byte {pos} quarantined the segment"
-                served = [(reopened.lookup(key), result) for key, result in warm]
+                served, found = reopened.lookup_many(keys)
         except (DataCorruptionError, FormatError) as exc:
             return "detected", f"store raised: {exc}"
-    if any(got is not None
-           and not np.array_equal(got.action_vector(), result.action_vector())
-           for got, result in served):
+    if not np.array_equal(served[found], rows[found]):
         return "sdc", f"bit flip at byte {pos} served a wrong block result"
-    missed = sum(got is None for got, _ in served)
+    missed = int((~found).sum())
     return "masked", (f"byte {pos} flip cost {missed} lookup miss(es), "
                       "re-simulated on demand")
 
@@ -358,7 +356,7 @@ def run_campaign(
     expected_weight = sum(t.weight for t in clean_tasks)
     clean_report = simulate_tasks(stc, clean_tasks, kernel=kernel, energy_model=None)
     cache_keys = sorted({(stc.cache_key(),) + t.cache_key() for t in clean_tasks})
-    warm = [(key, engine.get_cache()[key]) for key in cache_keys]
+    warm = np.stack([engine.get_cache()[key] for key in cache_keys])
 
     report = CampaignReport(matrix=matrix_name, kernel=kernel, seed=seed)
     for i in range(trials):
@@ -387,7 +385,7 @@ def run_campaign(
                 engine._BLOCK_CACHE[key] = original
         elif kind == "cache_file":
             fault = InjectedFault(kind="cache_file", site="store segment bit flip")
-            outcome, detail = _classify_cache_file_fault(rng, warm)
+            outcome, detail = _classify_cache_file_fault(rng, cache_keys, warm)
         else:  # pragma: no cover - guarded by the kinds check above
             raise ConfigError(f"unhandled fault kind {kind!r}")
         report.trials.append(FaultOutcome(fault=fault, outcome=outcome, detail=detail))

@@ -1,45 +1,55 @@
 """Bounded LRU memoisation for per-block simulation results.
 
 The engine memoises ``simulate_block`` on ``(model namespace, A bits,
-B bits)``.  The original implementation was an unbounded process-wide
-dict — fine for one matrix, a slow leak for a corpus-scale sweep
-service.  :class:`BlockCache` keeps the same mapping semantics behind
-a bounded LRU with observable hit/miss/eviction counters:
+B bits)``.  Each entry is the block's **action row**: one read-only
+``VECTOR_WIDTH`` vector (:func:`~repro.arch.base.result_rows`), int64
+unless the model's counters are fractional.  :class:`BlockCache` keeps
+the rows in a bounded LRU with observable hit/miss/eviction counters:
 
-- the **engine** goes through :meth:`lookup` / :meth:`insert`, which
-  update both the recency order and the statistics;
+- the **engine** goes through :meth:`lookup_many` /
+  :meth:`insert_many` (one call per coalesced batch), which update
+  both the recency order and the statistics exactly as the per-key
+  :meth:`lookup` / :meth:`insert` would, key by key;
 - the **fault-injection campaign** (:mod:`repro.resilience.faults`)
   reads and restores entries through ``[]``, which is
   statistics-neutral so bookkeeping traffic never skews the measured
   hit rate.
+
+Rows entering the cache are made read-only (``setflags(write=False)``),
+so an in-place update of a looked-up row raises instead of silently
+corrupting the memo.
 
 One instance is shared by every core of ``simulate_parallel`` and
 persists between sweep cases; results outlive the process only
 through a bound second tier.
 
 A :class:`BlockCache` may also be backed by a **second tier**: any
-object with ``lookup(key) -> Optional[BlockResult]`` and
-``insert(key, result)`` (duck-typed so this module needn't import it;
-in practice a :class:`repro.store.ResultStore`).  Misses consult the
-tier and promote its hits into the LRU; inserts write through.  Tier
-hits count as ``hits`` (the caller was served without simulating) and
-additionally as ``store_hits``, so the split is observable without
-changing the meaning of ``hit_rate``.
+object with ``lookup_many(keys) -> (rows, found)`` and
+``insert_many(keys, rows)`` (duck-typed so this module needn't import
+it; in practice a :class:`repro.store.ResultStore`).  Misses consult
+the tier -- one call per miss set -- and promote its hits into the
+LRU; inserts write through.  Tier hits count as ``hits`` (the caller
+was served without simulating) and additionally as ``store_hits``, so
+the split is observable without changing the meaning of ``hit_rate``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.arch.base import BlockResult
+import numpy as np
+
 from repro.errors import ConfigError
 
 #: Cache key: (model namespace, A bitmap bytes, B bitmap bytes).
 CacheKey = Tuple[str, bytes, bytes]
 
-#: Default entry bound.  A BlockResult plus key is a few hundred bytes,
+#: Marks a key :meth:`BlockCache.lookup_many` has not asked the tier for.
+_UNFETCHED = object()
+
+#: Default entry bound.  A row plus key is a few hundred bytes,
 #: so the default caps resident cache memory around a hundred MB while
 #: holding far more distinct block patterns than any corpus sweep in
 #: the benchmark suite produces.
@@ -130,7 +140,7 @@ class CacheStats:
 
 @dataclass
 class BlockCache:
-    """A bounded LRU mapping from cache keys to :class:`BlockResult`.
+    """A bounded LRU mapping from cache keys to read-only action rows.
 
     ``capacity=None`` disables the bound (the legacy unbounded
     behaviour, still useful for short-lived unit tests).
@@ -138,7 +148,8 @@ class BlockCache:
 
     capacity: Optional[int] = DEFAULT_CAPACITY
     stats: CacheStats = field(default_factory=CacheStats)
-    #: Optional persistent second tier (duck-typed ``lookup``/``insert``,
+    #: Optional persistent second tier (duck-typed
+    #: ``lookup_many``/``insert_many``,
     #: e.g. :class:`repro.store.ResultStore`).  Bind/unbind through
     #: :func:`repro.sim.engine.store_tier` in application code.
     store: Optional[object] = None
@@ -146,47 +157,86 @@ class BlockCache:
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity <= 0:
             raise ConfigError("cache capacity must be positive (or None)")
-        self._data: "OrderedDict[CacheKey, BlockResult]" = OrderedDict()
+        self._data: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
 
     # -- engine API (stats-aware) ----------------------------------------
 
-    def lookup(self, key: CacheKey) -> Optional[BlockResult]:
-        """Fetch a memoised result, refreshing its recency; None on miss.
+    def lookup_many(self, keys: Sequence[CacheKey]) -> List[Optional[np.ndarray]]:
+        """Fetch memoised rows, refreshing recency; ``None`` per miss.
 
-        On an LRU miss with a second tier bound, the tier is consulted
-        and its hit promoted into the LRU (stats-neutrally, so the
-        promotion isn't double-counted as an insert).
+        Keys are served in order, with the per-key :meth:`lookup`
+        semantics: an LRU hit moves to most-recent; an LRU miss with a
+        second tier bound consults the tier and promotes its hit into
+        the LRU (stats-neutrally, so the promotion isn't double-counted
+        as an insert).  The tier is asked once, up front, for every
+        distinct key absent from the LRU.
         """
-        result = self._data.get(key)
-        if result is not None:
-            self._data.move_to_end(key)
-            self.stats.hits += 1
-            return result
-        if self.store is not None:
-            stored = self.store.lookup(key)
-            if stored is not None:
-                self._data[key] = stored
-                self._evict()
-                self.stats.store_hits += 1
-                self.stats.hits += 1
-                return stored
-            self.stats.store_misses += 1
-        self.stats.misses += 1
-        return None
+        data, stats, store = self._data, self.stats, self.store
+        fetched: Dict[CacheKey, Optional[np.ndarray]] = {}
+        if store is not None:
+            absent = list(dict.fromkeys(k for k in keys if k not in data))
+            if absent:
+                fetched = self._fetch(absent)
+        out: List[Optional[np.ndarray]] = []
+        lru_hits = store_hits = store_misses = 0
+        for key in keys:
+            row = data.get(key)
+            if row is not None:
+                data.move_to_end(key)
+                lru_hits += 1
+            elif store is not None:
+                row = fetched.pop(key, _UNFETCHED)
+                if row is _UNFETCHED:
+                    # Evicted by an earlier promotion of this call, or
+                    # repeated after a tier miss: ask the tier again,
+                    # as a per-key lookup would.
+                    row = self._fetch([key])[key]
+                if row is not None:
+                    data[key] = row
+                    self._evict()
+                    store_hits += 1
+                else:
+                    store_misses += 1
+            out.append(row)
+        stats.hits += lru_hits + store_hits
+        stats.misses += len(keys) - lru_hits - store_hits
+        stats.store_hits += store_hits
+        stats.store_misses += store_misses
+        return out
 
-    def insert(self, key: CacheKey, result: BlockResult) -> None:
-        """Store a result as most-recent, evicting LRU entries if full.
+    def _fetch(self, keys: List[CacheKey]) -> Dict[CacheKey, Optional[np.ndarray]]:
+        rows, found = self.store.lookup_many(keys)
+        rows.setflags(write=False)
+        return {key: row if hit else None
+                for key, row, hit in zip(keys, rows, found.tolist())}
 
-        Writes through to the second tier when one is bound (the tier
-        deduplicates internally, so re-inserts after eviction are
-        cheap no-ops on disk).
+    def lookup(self, key: CacheKey) -> Optional[np.ndarray]:
+        """One key's memoised row, or ``None`` (see :meth:`lookup_many`)."""
+        return self.lookup_many([key])[0]
+
+    def insert_many(self, keys: Sequence[CacheKey], rows: np.ndarray) -> None:
+        """Store ``rows[i]`` for ``keys[i]`` as most-recent, in order.
+
+        ``rows`` is a ``[N, VECTOR_WIDTH]`` matrix; the cache takes it
+        over read-only.  LRU entries are evicted as each key lands, as
+        with per-key :meth:`insert`.  Writes through to the second tier
+        in one call when one is bound (the tier deduplicates
+        internally, so re-inserts after eviction are cheap no-ops on
+        disk).
         """
-        self._data[key] = result
-        self._data.move_to_end(key)
-        self.stats.inserts += 1
+        rows = _frozen(rows)
+        data = self._data
+        for key, row in zip(keys, rows):
+            data[key] = row
+            data.move_to_end(key)
+            self.stats.inserts += 1
+            self._evict()
         if self.store is not None:
-            self.store.insert(key, result)
-        self._evict()
+            self.store.insert_many(keys, rows)
+
+    def insert(self, key: CacheKey, row: np.ndarray) -> None:
+        """Store one key's row (see :meth:`insert_many`)."""
+        self.insert_many([key], _frozen(row)[None])
 
     def _evict(self) -> None:
         if self.capacity is None:
@@ -211,11 +261,11 @@ class BlockCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __getitem__(self, key: CacheKey) -> BlockResult:
+    def __getitem__(self, key: CacheKey) -> np.ndarray:
         return self._data[key]
 
-    def __setitem__(self, key: CacheKey, result: BlockResult) -> None:
-        self._data[key] = result
+    def __setitem__(self, key: CacheKey, row: np.ndarray) -> None:
+        self._data[key] = _frozen(row)
         self._evict()
 
     def clear(self, reset_stats: bool = True) -> None:
@@ -228,3 +278,10 @@ class BlockCache:
         cap = "unbounded" if self.capacity is None else str(self.capacity)
         return (f"BlockCache(entries={len(self._data)}, capacity={cap}, "
                 f"hit_rate={self.stats.hit_rate:.3f})")
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    """``rows`` made read-only in place: the cache owns what it holds."""
+    rows = np.asarray(rows)
+    rows.setflags(write=False)
+    return rows

@@ -9,7 +9,9 @@ Because STC models are pure functions of a task's bitmap pair, per-
 block results are memoised keyed by ``(model.cache_key(), a_bits,
 b_bits)`` — the same tile patterns repeat heavily across a matrix and
 across a corpus, which is what makes corpus-scale sweeps tractable in
-Python.  The memo lives in a bounded LRU
+Python.  A memoised result is its int64 action row
+(:func:`~repro.arch.base.result_rows`), and a run's totals are one
+weighted product over those rows.  The memo lives in a bounded LRU
 (:class:`~repro.sim.blockcache.BlockCache`) with observable
 hit/miss/eviction statistics; one process-wide instance is shared by
 every core of ``simulate_parallel``; a bound
@@ -33,7 +35,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro import obs
-from repro.arch.base import STCModel
+from repro.arch.base import STCModel, result_rows
 from repro.arch.counters import ACTIONS
 from repro.arch.tasks import T1Task
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
@@ -66,7 +68,7 @@ def clear_cache() -> None:
 def bind_store(store) -> None:
     """Attach a persistent second tier to the process-wide cache.
 
-    ``store`` is duck-typed (``lookup``/``insert``), in practice a
+    ``store`` is duck-typed (``lookup_many``/``insert_many``), in practice a
     :class:`repro.store.ResultStore`.  LRU misses then consult the
     store and inserts write through; see
     :class:`~repro.sim.blockcache.BlockCache`.
@@ -137,21 +139,19 @@ def simulate_tasks(
     namespace = stc.cache_key()
     stats_before = memo.stats.snapshot()
     t0 = perf_counter()
+    rows = []
+    weights = []
     for task in tasks:
         key = (namespace,) + task.cache_key()
-        result = memo.lookup(key)
-        if result is None:
-            result = stc.simulate_block(task)
-            memo.insert(key, result)
-        weight = task.weight
-        report.cycles += result.cycles * weight
-        report.products += result.products * weight
-        report.t1_tasks += weight
-        report.util_hist.merge(result.util_hist, weight)
-        report.counters.merge(result.counters, weight)
-    if energy_model is not None:
-        report.energy_breakdown = energy_model.breakdown(report.counters, stc.name)
-        report.energy_pj = sum(report.energy_breakdown.values())
+        row = memo.lookup(key)
+        if row is None:
+            row = result_rows([stc.simulate_block(task)])[0]
+            memo.insert(key, row)
+        rows.append(row)
+        weights.append(task.weight)
+    if rows:
+        _aggregate(report, np.stack(rows), weights)
+    _price(report, stc, energy_model)
     _finalise_run(report, memo, stats_before, perf_counter() - t0)
     return report
 
@@ -167,74 +167,84 @@ def simulate_batches(
     """Run batched (array-of-bitmap-pairs) task streams on one model.
 
     Each batch is coalesced so a distinct bitmap pair hits the model
-    (or the memo) exactly once with its aggregate weight.  All memo
-    misses of a batch are dispatched together through
+    (or the memo) exactly once with its aggregate weight.  The memo
+    serves the batch's rows in one :meth:`BlockCache.lookup_many` call;
+    its misses are dispatched together through
     :meth:`~repro.arch.base.STCModel.simulate_blocks` — one array-level
-    call on models with a vectorised path — and inserted into the
-    shared cache unchanged.  Aggregation is a single weighted matrix
-    product over the flattened results
-    (:meth:`~repro.arch.base.BlockResult.action_vector_int`), carried
-    in int64 so corpus-scale totals stay exact (falling back to float64
-    only for models whose counters are genuinely fractional) — totals
-    equal the per-task reference path exactly, without its per-task
-    ``merge`` calls.
+    call on models with a vectorised path — and inserted with one
+    :meth:`BlockCache.insert_many`.  Aggregation is a single weighted
+    matrix product over the action rows, carried in int64 so
+    corpus-scale totals stay exact (falling back to float64 only for
+    models whose counters are genuinely fractional) — totals equal the
+    per-task reference path exactly.
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
     namespace = stc.cache_key()
     stats_before = memo.stats.snapshot()
     t0 = perf_counter()
-    rows = []
+    mats = []
     weights = []
     for index, batch in enumerate(batches):
         with obs.span("batch", index=index, tasks=len(batch)):
             raw = coalesce_raw(batch)
+            if not raw.pairs:
+                continue
             a_bytes, b_bytes, n = raw.a_bytes, raw.b_bytes, raw.n
-            pending = []
-            for ai, bi, weight in raw.pairs:
-                key = (namespace, a_bytes[ai], b_bytes[bi])
-                result = memo.lookup(key)
-                if result is None:
-                    # Memoised results must be weight-independent (the
-                    # stream weight is applied at aggregation time), so
-                    # the model never sees the aggregate weight.
-                    pending.append(
-                        (len(rows), key, T1Task(a_bytes[ai], b_bytes[bi], n=n, weight=1))
-                    )
-                rows.append(result)
-                weights.append(weight)
+            keys = [(namespace, a_bytes[ai], b_bytes[bi])
+                    for ai, bi, _ in raw.pairs]
+            rows = memo.lookup_many(keys)
+            pending = [i for i, row in enumerate(rows) if row is None]
             if pending:
-                missed = stc.simulate_blocks([task for _, _, task in pending])
-                for (slot, key, _), result in zip(pending, missed):
-                    memo.insert(key, result)
-                    rows[slot] = result
-    if rows:
-        int_rows = [result.action_vector_int() for result in rows]
-        if all(vec is not None for vec in int_rows):
-            w = np.asarray(weights, dtype=np.int64)
-            acc = w @ np.stack(int_rows)
-            report.cycles = int(acc[0])
-            report.products = int(acc[1])
-            report.t1_tasks = int(w.sum())
-            report.util_hist.bins += acc[2:6]
-            for j, action in enumerate(ACTIONS):
-                if acc[6 + j]:
-                    report.counters.add(action, int(acc[6 + j]))
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            acc = w @ np.stack([result.action_vector() for result in rows])
-            report.cycles = int(round(acc[0]))
-            report.products = int(round(acc[1]))
-            report.t1_tasks = int(w.sum())
-            report.util_hist.bins += np.rint(acc[2:6]).astype(np.int64)
-            for j, action in enumerate(ACTIONS):
-                if acc[6 + j]:
-                    report.counters.add(action, float(acc[6 + j]))
+                # Memoised results must be weight-independent (the
+                # stream weight is applied at aggregation time), so
+                # the model never sees the aggregate weight.
+                fresh = result_rows(stc.simulate_blocks(
+                    [T1Task(keys[i][1], keys[i][2], n=n, weight=1)
+                     for i in pending]))
+                memo.insert_many([keys[i] for i in pending], fresh)
+                for i, row in zip(pending, fresh):
+                    rows[i] = row
+            mats.append(np.stack(rows))
+            weights.extend(weight for _, _, weight in raw.pairs)
+    if mats:
+        _aggregate(report, np.concatenate(mats), weights)
+    _price(report, stc, energy_model)
+    _finalise_run(report, memo, stats_before, perf_counter() - t0)
+    return report
+
+
+def _aggregate(report: SimReport, rows: np.ndarray, weights) -> None:
+    """Fold ``weights @ rows`` into ``report``'s totals.
+
+    Integer rows aggregate in int64, exact past 2^53; float64 rows (a
+    model with fractional counters) aggregate in float64.
+    """
+    if rows.dtype.kind in "iu":
+        w = np.asarray(weights, dtype=np.int64)
+        acc = w @ rows.astype(np.int64, copy=False)
+        report.cycles = int(acc[0])
+        report.products = int(acc[1])
+        report.util_hist.bins += acc[2:6]
+        counts = [int(v) for v in acc[6:]]
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        acc = w @ rows
+        report.cycles = int(round(acc[0]))
+        report.products = int(round(acc[1]))
+        report.util_hist.bins += np.rint(acc[2:6]).astype(np.int64)
+        counts = [float(v) for v in acc[6:]]
+    report.t1_tasks = int(w.sum())
+    for action, count in zip(ACTIONS, counts):
+        if count:
+            report.counters.add(action, count)
+
+
+def _price(report: SimReport, stc: STCModel,
+           energy_model: Optional[EnergyModel]) -> None:
     if energy_model is not None:
         report.energy_breakdown = energy_model.breakdown(report.counters, stc.name)
         report.energy_pj = sum(report.energy_breakdown.values())
-    _finalise_run(report, memo, stats_before, perf_counter() - t0)
-    return report
 
 
 def _finalise_run(

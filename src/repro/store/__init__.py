@@ -23,7 +23,6 @@ from repro.store.resultstore import (
     GCReport,
     ResultStore,
     StoreStats,
-    encode_record,
     key_digest,
 )
 from repro.store.service import SimulationService
@@ -35,6 +34,5 @@ __all__ = [
     "STORE_SCHEMA",
     "SimulationService",
     "StoreStats",
-    "encode_record",
     "key_digest",
 ]

@@ -56,11 +56,20 @@ Record framing (little-endian)::
     4B     32B     u32          u32             payload_len bytes
 
 and the payload packs the namespace/bitmap key (length-prefixed) plus
-cycles, products, the four utilisation bins and one float64 per
-:data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order.  The
+a fixed numeric tail: the block's action row (cycles, products and the
+four utilisation bins as int64, then one float64 per
+:data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order).  The
 vocabulary itself is recorded in ``STORE.json`` so a vocabulary change
 is a loud :class:`~repro.errors.FormatError`, never a silent
 misinterpretation.
+
+**Rows, in batches.**  The store speaks the engine's currency: the
+``[N, VECTOR_WIDTH]`` action-row matrix
+(:func:`~repro.arch.base.result_rows`).  :meth:`ResultStore.lookup_many`
+decodes every hit's numeric tail with one ``np.frombuffer`` and checks
+each record's embedded key against the requested one;
+:meth:`ResultStore.insert_many` encodes the tails with one
+``tobytes()`` and appends the whole batch with one ``write()``.
 """
 
 from __future__ import annotations
@@ -73,16 +82,16 @@ import struct
 import threading
 import uuid
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.arch.base import BlockResult
-from repro.arch.counters import ACTIONS, Counters
-from repro.arch.tasks import UtilHistogram
+from repro.arch.base import VECTOR_WIDTH
+from repro.arch.counters import ACTIONS
 from repro.errors import DataCorruptionError, FormatError
 
 logger = logging.getLogger(__name__)
@@ -99,9 +108,12 @@ _MAGIC = b"RBR1"
 #: magic + sha256 digest + payload length + payload CRC32.
 _PREFIX = struct.Struct("<4s32sII")
 
-#: Fixed numeric tail of a payload: cycles, products, 4 util bins (i64)
-#: then one f64 per action in vocabulary order.
-_NUMERIC = struct.Struct(f"<6q{len(ACTIONS)}d")
+#: Length prefix of each of the payload's three key fields.
+_U16 = struct.Struct("<H")
+
+#: Fixed numeric tail of a payload (``<6q17d``): cycles, products, 4
+#: util bins (i64) then one f64 per action in vocabulary order.
+_TAIL = np.dtype([("ints", "<i8", (6,)), ("actions", "<f8", (len(ACTIONS),))])
 
 #: Sanity bound on payload size — far above any real record (a record
 #: is ~300 bytes); a "length" beyond this is corruption, not a payload.
@@ -120,61 +132,76 @@ def key_digest(key: StoreKey) -> bytes:
     processes and platforms by construction.
     """
     namespace, a_bits, b_bits = key
-    h = hashlib.sha256()
-    h.update(namespace.encode("utf-8"))
-    h.update(b"\x1f")
+    h = _namespace_parts(namespace)[0].copy()
     h.update(a_bits)
     h.update(b"\x1f")
     h.update(b_bits)
     return h.digest()
 
 
-def _encode_payload(key: StoreKey, result: BlockResult) -> bytes:
+def _key_head(key: StoreKey) -> bytes:
+    """A payload's key section: three u16-length-prefixed fields."""
     namespace, a_bits, b_bits = key
+    _, ns_field = _namespace_parts(namespace)
+    return b"".join((ns_field, _U16.pack(len(a_bits)), a_bits,
+                     _U16.pack(len(b_bits)), b_bits))
+
+
+@lru_cache(maxsize=64)
+def _namespace_parts(namespace: str) -> Tuple["hashlib._Hash", bytes]:
+    """A namespace's sha256 state over ``namespace \\x1f`` and its
+    payload key field.
+
+    Every key of a sweep shares its model's namespace, so both are
+    built once per namespace, not once per block (a copied hash state
+    also skips the digest's per-call set-up).
+    """
     ns = namespace.encode("utf-8")
-    parts = [struct.pack("<H", len(ns)), ns,
-             struct.pack("<H", len(a_bits)), a_bits,
-             struct.pack("<H", len(b_bits)), b_bits]
-    bins = [int(b) for b in result.util_hist.bins]
-    counters = [float(result.counters.get(a)) for a in ACTIONS]
-    parts.append(_NUMERIC.pack(int(result.cycles), int(result.products),
-                               *bins, *counters))
-    return b"".join(parts)
+    return hashlib.sha256(ns + b"\x1f"), _U16.pack(len(ns)) + ns
 
 
-def _decode_payload(payload: bytes) -> Tuple[StoreKey, BlockResult]:
+def _payload_key(payload: bytes) -> StoreKey:
+    """Parse the key a payload embeds, checking the tail's size."""
     view = memoryview(payload)
     offset = 0
     fields = []
     for _ in range(3):
         if offset + 2 > len(view):
             raise DataCorruptionError("store payload truncated inside key")
-        (length,) = struct.unpack_from("<H", view, offset)
+        (length,) = _U16.unpack_from(view, offset)
         offset += 2
         if offset + length > len(view):
             raise DataCorruptionError("store payload key overruns record")
         fields.append(bytes(view[offset:offset + length]))
         offset += length
-    if len(view) - offset != _NUMERIC.size:
+    _check_tail(len(view) - offset)
+    return fields[0].decode("utf-8"), fields[1], fields[2]
+
+
+def _check_tail(size: int) -> None:
+    if size != _TAIL.itemsize:
         raise DataCorruptionError(
-            f"store payload numeric block is {len(view) - offset} bytes, "
-            f"expected {_NUMERIC.size} (ACTIONS vocabulary mismatch?)")
-    numbers = _NUMERIC.unpack_from(view, offset)
-    key: StoreKey = (fields[0].decode("utf-8"), fields[1], fields[2])
-    hist = UtilHistogram(bins=np.array(numbers[2:6], dtype=np.int64))
-    counters = Counters({a: numbers[6 + i] for i, a in enumerate(ACTIONS)
-                         if numbers[6 + i]})
-    result = BlockResult(cycles=int(numbers[0]), products=int(numbers[1]),
-                         util_hist=hist, counters=counters)
-    return key, result
+            f"store payload numeric block is {size} bytes, "
+            f"expected {_TAIL.itemsize} (ACTIONS vocabulary mismatch?)")
 
 
-def encode_record(key: StoreKey, result: BlockResult) -> bytes:
-    """One framed record: prefix + CRC-checked payload."""
-    payload = _encode_payload(key, result)
-    prefix = _PREFIX.pack(_MAGIC, key_digest(key), len(payload),
-                          zlib.crc32(payload) & 0xFFFFFFFF)
-    return prefix + payload
+def _encode_tails(rows: np.ndarray) -> bytes:
+    """Numeric tails of ``[N, VECTOR_WIDTH]`` rows, back to back."""
+    tails = np.empty(len(rows), dtype=_TAIL)
+    tails["ints"] = rows[:, :6]
+    tails["actions"] = rows[:, 6:]
+    return tails.tobytes()
+
+
+def _decode_tails(blob: bytes) -> np.ndarray:
+    """Rows from back-to-back tails: int64 unless a counter is fractional."""
+    tails = np.frombuffer(blob, dtype=_TAIL)
+    actions = tails["actions"]
+    with np.errstate(invalid="ignore"):
+        as_int = actions.astype(np.int64)
+    if np.array_equal(as_int, actions):
+        return np.concatenate((tails["ints"], as_int), axis=1)
+    return np.concatenate((tails["ints"].astype(np.float64), actions), axis=1)
 
 
 @dataclass
@@ -289,8 +316,8 @@ class ResultStore:
         self.stats = StoreStats()
         # One handle may serve several threads (ThreadingHTTPServer in
         # repro serve): the lock serialises index mutation and the
-        # shared reader/writer handles' seek/read/write pairs.
-        # Re-entrant because gc()/verify()/lookup() nest _read_payload.
+        # shared reader/writer handles' reads and writes.
+        # Re-entrant because gc() nests flush() and close().
         self._lock = threading.RLock()
         self._index: Dict[bytes, _Entry] = {}
         self._scanned: Dict[Path, int] = {}      # segment -> clean end offset
@@ -399,7 +426,7 @@ class ResultStore:
         # make the torn-tail arithmetic negative and a repair-mode
         # truncate would zero-extend the file.  Clamp and resume at
         # the (new) end; stale index entries fail their short-read
-        # check in _read_payload and degrade to misses.
+        # check on re-read and degrade to misses.
         offset, added = min(start, len(data)), 0
         own = seg == self._writer_path
         while True:
@@ -464,69 +491,170 @@ class ResultStore:
 
     # -- lookups and appends ----------------------------------------------
 
-    def lookup(self, key: StoreKey) -> Optional[BlockResult]:
-        """Fetch a stored result by cache key; ``None`` on miss."""
+    def lookup_many(self, keys: Sequence[StoreKey]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fetch stored rows: ``(rows [N, VECTOR_WIDTH], found [N])``.
+
+        ``rows[i]`` is ``keys[i]``'s action row where ``found[i]``, and
+        zeros on a miss.  Hits adjacent on disk are read with one
+        ``pread``; every record's CRC and embedded key are checked, and
+        all hits' numeric tails are decoded in one ``np.frombuffer``.
+        The matrix is int64 unless a hit's counters are fractional.  A
+        record whose embedded key differs from the requested one raises
+        :class:`~repro.errors.DataCorruptionError`.
+        """
+        tails: List[bytes] = []
+        found: List[bool] = []
+        served = 0
         with self._lock:
-            entry = self._index.get(key_digest(key))
-            if entry is None:
-                self.stats.misses += 1
-                obs.inc("store.misses")
-                return None
-            payload = self._read_payload(entry)
-            if payload is None:
-                self.stats.misses += 1
-                obs.inc("store.misses")
-                return None
-            _, result = _decode_payload(payload)
-            self.stats.hits += 1
-            self.stats.served_bytes += entry.length
-            obs.inc("store.hits")
-            return result
+            entries = [self._index.get(key_digest(key)) for key in keys]
+            buf, starts = self._read_batch(entries)
+            for key, entry, start in zip(keys, entries, starts):
+                found.append(start is not None)
+                if start is None:
+                    continue  # a miss, or a stale entry degraded to one
+                head = _key_head(key)
+                if not buf.startswith(head, start):
+                    raise DataCorruptionError(
+                        f"store record in {entry.segment.name} embeds a "
+                        "different key than the one its digest was "
+                        "requested for")
+                _check_tail(entry.length - len(head))
+                tail = start + len(head)
+                tails.append(buf[tail:tail + _TAIL.itemsize])
+                served += entry.length
+            hits = len(tails)
+            self.stats.hits += hits
+            self.stats.misses += len(keys) - hits
+            self.stats.served_bytes += served
+        if hits:
+            obs.inc("store.hits", hits)
+        if len(keys) > hits:
+            obs.inc("store.misses", len(keys) - hits)
+        decoded = _decode_tails(b"".join(tails))
+        mask = np.array(found, dtype=bool)
+        rows = np.zeros((len(keys), VECTOR_WIDTH), dtype=decoded.dtype)
+        rows[mask] = decoded
+        return rows, mask
+
+    def lookup(self, key: StoreKey) -> Optional[np.ndarray]:
+        """One key's stored row, or ``None`` on miss."""
+        rows, found = self.lookup_many([key])
+        return rows[0] if found[0] else None
+
+    def _read_batch(self, entries: List[Optional[_Entry]]
+                    ) -> Tuple[bytes, List[Optional[int]]]:
+        """Read and CRC-check the payloads of ``entries``, in one buffer.
+
+        Returns ``(buf, starts)``: ``entries[i]``'s payload begins at
+        ``buf[starts[i]]``, and ``starts[i]`` is None for a missing
+        entry or a stale one (its segment is gone or shorter).  A run
+        of entries that follow each other in one segment is read with
+        one ``pread``.  The caller holds the lock.
+        """
+        chunks: List[bytes] = []
+        starts: List[Optional[int]] = []
+        size, i, n = 0, 0, len(entries)
+        while i < n:
+            first = entries[i]
+            if first is None:
+                starts.append(None)
+                i += 1
+                continue
+            seg, base = first.segment, first.offset
+            j, end = i + 1, base + first.length
+            while j < n:
+                entry = entries[j]
+                if (entry is None or entry.segment is not seg
+                        or entry.offset != end + _PREFIX.size):
+                    break
+                end = entry.offset + entry.length
+                j += 1
+            fd = self._reader(seg)
+            chunk = b"" if fd is None else os.pread(fd, end - base, base)
+            view, have = memoryview(chunk), len(chunk)
+            for entry in entries[i:j]:
+                lo = entry.offset - base
+                hi = lo + entry.length
+                if hi > have:
+                    starts.append(None)  # segment shrank under us
+                elif zlib.crc32(view[lo:hi]) != entry.crc:
+                    raise DataCorruptionError(
+                        f"store record in {seg.name} failed its CRC on "
+                        "re-read (disk-level corruption after indexing)")
+                else:
+                    starts.append(size + lo)
+            chunks.append(chunk)
+            size += have
+            i = j
+        return b"".join(chunks), starts
+
+    def _reader(self, seg: Path) -> Optional[int]:
+        """A read descriptor for ``seg``, or None once it is gone.
+
+        The caller holds the lock.
+        """
+        handle = self._readers.get(seg)
+        if handle is None:
+            try:
+                handle = open(seg, "rb", buffering=0)
+            except FileNotFoundError:
+                return None  # segment gc'd/quarantined under us
+            self._readers[seg] = handle
+        return handle.fileno()
 
     def _read_payload(self, entry: _Entry) -> Optional[bytes]:
-        with self._lock:
-            handle = self._readers.get(entry.segment)
-            if handle is None:
-                try:
-                    handle = open(entry.segment, "rb")
-                except FileNotFoundError:
-                    return None  # segment gc'd/quarantined under us
-                self._readers[entry.segment] = handle
-            handle.seek(entry.offset)
-            payload = handle.read(entry.length)
-        if len(payload) != entry.length:
-            return None
-        if zlib.crc32(payload) & 0xFFFFFFFF != entry.crc:
-            raise DataCorruptionError(
-                f"store record in {entry.segment.name} failed its CRC on "
-                "re-read (disk-level corruption after indexing)")
-        return payload
+        """One record's CRC-checked payload, or None when it is stale.
 
-    def insert(self, key: StoreKey, result: BlockResult) -> bool:
-        """Append a record unless its digest is already indexed.
-
-        Returns True when a record was written.  The write is a single
-        ``write()`` call on an append-mode handle, so concurrent
-        writers to *different* segments never interleave and a crash
-        leaves at worst one torn record at the tail.
+        The caller holds the lock.
         """
-        digest = key_digest(key)
-        record = encode_record(key, result)
+        buf, (start,) = self._read_batch([entry])
+        return None if start is None else buf[start:start + entry.length]
+
+    def insert_many(self, keys: Sequence[StoreKey], rows: np.ndarray) -> int:
+        """Append one record per key whose digest is not yet indexed.
+
+        ``rows`` is the ``[N, VECTOR_WIDTH]`` matrix of ``keys``' action
+        rows.  Keys already stored, or repeated within the batch, count
+        as duplicates.  The batch is one ``write()`` call on an
+        append-mode handle, so concurrent writers to *different*
+        segments never interleave and a crash leaves at worst one torn
+        record at the tail.  Returns the number of records written.
+        """
+        tails = _encode_tails(np.asarray(rows))
+        size = _TAIL.itemsize
         with self._lock:
-            if digest in self._index:
-                self.stats.duplicates += 1
-                return False
+            parts: List[bytes] = []
+            written: Dict[bytes, Tuple[int, int]] = {}
+            for i, key in enumerate(keys):
+                digest = key_digest(key)
+                if digest in self._index or digest in written:
+                    self.stats.duplicates += 1
+                    continue
+                payload = _key_head(key) + tails[i * size:(i + 1) * size]
+                crc = zlib.crc32(payload) & 0xFFFFFFFF
+                parts += (_PREFIX.pack(_MAGIC, digest, len(payload), crc),
+                          payload)
+                written[digest] = (len(payload), crc)
+            if not written:
+                return 0
             writer = self._open_writer()
             offset = writer.tell()
-            writer.write(record)
+            writer.write(b"".join(parts))
             writer.flush()
-            self._index[digest] = _Entry(
-                self._writer_path, offset + _PREFIX.size,
-                len(record) - _PREFIX.size, zlib.crc32(record[_PREFIX.size:]))
-            self._scanned[self._writer_path] = offset + len(record)
-            self.stats.appends += 1
-        obs.inc("store.appends")
-        return True
+            for digest, (length, crc) in written.items():
+                offset += _PREFIX.size
+                self._index[digest] = _Entry(self._writer_path, offset,
+                                             length, crc)
+                offset += length
+            self._scanned[self._writer_path] = offset
+            self.stats.appends += len(written)
+        obs.inc("store.appends", len(written))
+        return len(written)
+
+    def insert(self, key: StoreKey, row: np.ndarray) -> bool:
+        """Append one key's row unless stored; True when written."""
+        return self.insert_many([key], np.asarray(row)[None]) == 1
 
     def _open_writer(self):
         if self._writer is None:
@@ -593,12 +721,12 @@ class ResultStore:
             entries = sorted(self._index.items())
         for digest, entry in entries:
             try:
-                payload = self._read_payload(entry)
+                with self._lock:
+                    payload = self._read_payload(entry)
                 if payload is None:
                     raise DataCorruptionError(
                         f"record in {entry.segment.name} vanished")
-                key, _ = _decode_payload(payload)
-                if key_digest(key) != digest:
+                if key_digest(_payload_key(payload)) != digest:
                     raise DataCorruptionError(
                         f"record in {entry.segment.name} decodes to a "
                         "different key than its digest")

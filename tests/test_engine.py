@@ -14,6 +14,7 @@ from repro.kernels.vector import SparseVector
 from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.results import ComparisonRow, SimReport, compare, geomean
+from repro.store import ResultStore
 
 from tests.conftest import make_block_task
 
@@ -118,6 +119,21 @@ def _single_pair_batch(weights, n=16):
     )
 
 
+class _FractionalSTC(STCModel):
+    """A model whose counters are genuinely fractional (float rows)."""
+
+    name = "fractional"
+
+    def simulate_block(self, task):
+        result = BlockResult(cycles=4, products=2)
+        result.counters.add("mac_ops", 1.5)
+        return result
+
+    @property
+    def macs(self):
+        return 64
+
+
 class TestBatchedAggregation:
     def test_cache_misses_simulated_at_unit_weight(self):
         """The memoised block result must never absorb stream weights:
@@ -129,7 +145,7 @@ class TestBatchedAggregation:
         assert len(cache) == 1
         (task,) = {t.cache_key(): t for t in batch.iter_tasks()}.values()
         cached = cache[(stc.cache_key(),) + task.cache_key()]
-        assert cached.cycles == 10 and cached.products == 1
+        assert cached[0] == 10 and cached[1] == 1
         assert report.cycles == 50 and report.products == 5
         assert report.t1_tasks == 5
         assert report.counters.get("mac_ops") == 35
@@ -176,24 +192,37 @@ class TestBatchedAggregation:
         assert fast.energy_breakdown == slow.energy_breakdown
 
     def test_float_fallback_for_fractional_counters(self):
-        class FractionalSTC(STCModel):
-            name = "fractional"
-
-            def simulate_block(self, task):
-                result = BlockResult(cycles=4, products=2)
-                result.counters.add("mac_ops", 1.5)
-                return result
-
-            @property
-            def macs(self):
-                return 64
-
         report = engine.simulate_batches(
-            FractionalSTC(), [_single_pair_batch([3])],
+            _FractionalSTC(), [_single_pair_batch([3])],
             cache=BlockCache(), energy_model=None,
         )
         assert report.cycles == 12
         assert report.counters.get("mac_ops") == pytest.approx(4.5)
+
+    def test_fractional_rows_round_trip_through_store(self, tmp_path):
+        """A fractional model's float64 rows persist and replay exactly:
+        cold-with-store and store-served runs aggregate in float just as
+        a run with no store does."""
+        stc = _FractionalSTC()
+        batches = [_single_pair_batch([3, 1]), _single_pair_batch([2], n=8)]
+        def run(cache):
+            return engine.simulate_batches(stc, batches, cache=cache,
+                                           energy_model=None)
+
+        plain = run(BlockCache())
+        with ResultStore(tmp_path / "store") as store:
+            cold_cache = BlockCache(store=store)
+            cold = run(cold_cache)
+            warm_cache = BlockCache(store=store)
+            warm = run(warm_cache)
+        assert cold_cache.stats.inserts == 2
+        assert warm_cache.stats.store_hits == 2 and warm_cache.stats.inserts == 0
+        for report in (cold, warm):
+            assert report.counters.as_dict() == plain.counters.as_dict()
+            assert (report.cycles, report.products, report.t1_tasks) == (
+                plain.cycles, plain.products, plain.t1_tasks)
+            assert np.array_equal(report.util_hist.bins, plain.util_hist.bins)
+        assert plain.counters.get("mac_ops") == 9.0
 
 
 class TestSimReport:

@@ -8,14 +8,16 @@ the resilient runner's round trip through a bound store.
 
 from __future__ import annotations
 
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.arch.base import BlockResult
+from repro.arch.base import VECTOR_WIDTH, BlockResult, result_rows
 from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.counters import ACTIONS, Counters
 from repro.arch.tasks import UtilHistogram
@@ -29,7 +31,6 @@ from repro.store import (
     MANIFEST_NAME,
     ResultStore,
     STORE_SCHEMA,
-    encode_record,
     key_digest,
 )
 from repro.workloads.synthetic import banded
@@ -45,6 +46,29 @@ def _result(i: int) -> BlockResult:
     hist = UtilHistogram(bins=np.array([i, 0, 2 * i, 1], dtype=np.int64))
     return BlockResult(cycles=i, products=2 * i, util_hist=hist,
                        counters=Counters({"mac_ops": float(3 * i)}))
+
+
+def _row(i: int) -> np.ndarray:
+    return result_rows([_result(i)])[0]
+
+
+def _reference_record(key, result: BlockResult) -> bytes:
+    """The per-record object encoder of store schema 1, kept as the
+    byte-level oracle for the batched row writer."""
+    namespace, a_bits, b_bits = key
+    ns = namespace.encode("utf-8")
+    payload = b"".join([
+        struct.pack("<H", len(ns)), ns,
+        struct.pack("<H", len(a_bits)), a_bits,
+        struct.pack("<H", len(b_bits)), b_bits,
+        struct.pack(f"<6q{len(ACTIONS)}d", int(result.cycles),
+                    int(result.products),
+                    *[int(b) for b in result.util_hist.bins],
+                    *[float(result.counters.get(a)) for a in ACTIONS]),
+    ])
+    prefix = struct.pack("<4s32sII", b"RBR1", key_digest(key), len(payload),
+                         zlib.crc32(payload) & 0xFFFFFFFF)
+    return prefix + payload
 
 
 def _segments(store: ResultStore):
@@ -69,33 +93,35 @@ class TestFormat:
     def test_insert_lookup_roundtrip(self, root):
         with ResultStore(root) as store:
             assert store.lookup(_key(1)) is None
-            assert store.insert(_key(1), _result(1)) is True
+            assert store.insert(_key(1), _row(1)) is True
             got = store.lookup(_key(1))
-        assert got.cycles == 1 and got.products == 2
-        assert [int(b) for b in got.util_hist.bins] == [1, 0, 2, 1]
-        assert got.counters.get("mac_ops") == 3.0
-        assert got.counters.get(ACTIONS[-1]) == 0.0
+        assert got.dtype == np.int64 and got.shape == (VECTOR_WIDTH,)
+        assert got[0] == 1 and got[1] == 2
+        assert got[2:6].tolist() == [1, 0, 2, 1]
+        assert got[6 + ACTIONS.index("mac_ops")] == 3
+        assert got[-1] == 0
+        assert np.array_equal(got, _row(1))
 
     def test_persists_across_reopen(self, root):
         with ResultStore(root) as store:
             for i in range(1, 6):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
         with ResultStore(root) as store:
             assert len(store) == 5
-            assert store.lookup(_key(3)).cycles == 3
+            assert store.lookup(_key(3))[0] == 3
 
     def test_duplicate_insert_is_dropped(self, root):
         with ResultStore(root) as store:
-            assert store.insert(_key(1), _result(1)) is True
-            assert store.insert(_key(1), _result(1)) is False
+            assert store.insert(_key(1), _row(1)) is True
+            assert store.insert(_key(1), _row(1)) is False
             assert len(store) == 1
             assert store.stats.appends == 1
             assert store.stats.duplicates == 1
 
     def test_stats_traffic_accounting(self, root):
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             store.lookup(_key(1))
             store.lookup(_key(2))
             stats = store.stats
@@ -109,7 +135,7 @@ class TestFormat:
         import json
 
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             store.flush()
             doc = store.describe()
         assert doc["kind"] == "repro.store"
@@ -122,14 +148,120 @@ class TestFormat:
         writer = ResultStore(root)
         reader = ResultStore(root)
         try:
-            writer.insert(_key(1), _result(1))
+            writer.insert(_key(1), _row(1))
             writer.flush()
             assert reader.lookup(_key(1)) is None  # not yet scanned
             assert reader.refresh() == 1
-            assert reader.lookup(_key(1)).cycles == 1
+            assert reader.lookup(_key(1))[0] == 1
         finally:
             writer.close()
             reader.close()
+
+
+class TestBatchedRows:
+    def test_lookup_many_equals_single_lookups(self, root):
+        keys = [_key(3), _key(9), _key(1), _key(3), _key(7), _key(1)]
+        with ResultStore(root) as store:
+            store.insert_many([_key(i) for i in (1, 2, 3)],
+                              np.stack([_row(i) for i in (1, 2, 3)]))
+            before = store.stats.snapshot()
+            rows, found = store.lookup_many(keys)
+            batched = store.stats.delta(before)
+            before = store.stats.snapshot()
+            singles = [store.lookup(key) for key in keys]
+            single = store.stats.delta(before)
+        assert found.tolist() == [s is not None for s in singles]
+        assert found.tolist() == [True, False, True, True, False, True]
+        for row, want in zip(rows, singles):
+            if want is None:
+                assert not row.any()
+            else:
+                assert np.array_equal(row, want)
+        assert rows.dtype == np.int64 and rows.shape == (6, VECTOR_WIDTH)
+        assert ((batched.hits, batched.misses, batched.served_bytes)
+                == (single.hits, single.misses, single.served_bytes)
+                == (4, 2, single.served_bytes))
+        assert single.served_bytes > 0
+
+    def test_lookup_many_of_nothing(self, root):
+        with ResultStore(root) as store:
+            rows, found = store.lookup_many([])
+            assert rows.shape == (0, VECTOR_WIDTH) and found.shape == (0,)
+            assert store.stats.lookups == 0
+
+    def test_insert_many_bytes_match_per_record_encoder(self, root):
+        ids = [4, 1, 7, 1, 4, 2]  # repeats within the batch are deduped
+        with ResultStore(root) as store:
+            written = store.insert_many([_key(i) for i in ids],
+                                        np.stack([_row(i) for i in ids]))
+            assert written == 4
+            assert (store.stats.appends, store.stats.duplicates) == (4, 2)
+            assert store.insert_many([_key(7), _key(8)],
+                                     np.stack([_row(7), _row(8)])) == 1
+            store.flush()
+            (seg,) = _segments(store)
+        expected = b"".join(_reference_record(_key(i), _result(i))
+                            for i in (4, 1, 7, 2, 8))
+        assert seg.read_bytes() == expected
+
+    def test_reads_records_of_the_object_encoder(self, root):
+        """Stores written record by record before the row path replay
+        unchanged: schema 1 on disk, no migration."""
+        ResultStore(root).close()
+        (root / "segments" / "old.seg").write_bytes(b"".join(
+            _reference_record(_key(i), _result(i)) for i in (1, 2, 3)))
+        with ResultStore(root) as store:
+            rows, found = store.lookup_many([_key(3), _key(1), _key(2)])
+            assert found.all()
+            assert np.array_equal(rows, np.stack([_row(3), _row(1), _row(2)]))
+            assert store.verify(strict=True)["records"] == 3
+
+    def test_fractional_rows_round_trip_as_float(self, root):
+        fractional = _row(2).astype(np.float64)
+        fractional[6] = 1.5
+        with ResultStore(root) as store:
+            store.insert_many([_key(1), _key(2)],
+                              np.stack([_row(1).astype(np.float64), fractional]))
+            rows, found = store.lookup_many([_key(1), _key(2)])
+            assert found.all() and rows.dtype == np.float64
+            assert np.array_equal(rows[1], fractional)
+            # A batch of integral hits alone decodes back to int64.
+            assert store.lookup(_key(1)).dtype == np.int64
+
+    def test_torn_batched_write_keeps_earlier_records(self, root):
+        with ResultStore(root) as store:
+            store.insert_many([_key(i) for i in range(1, 6)],
+                              np.stack([_row(i) for i in range(1, 6)]))
+            store.flush()
+            (seg,) = _segments(store)
+        data = seg.read_bytes()
+        last = len(_reference_record(_key(5), _result(5)))
+        clean = len(data) - last
+        seg.write_bytes(data[:clean + last // 2])  # cut inside record 5
+        with ResultStore(root) as store:  # live reader: tolerate the tail
+            assert len(store) == 4 and store.stats.quarantined == 0
+            rows, found = store.lookup_many([_key(i) for i in range(1, 6)])
+            assert found.tolist() == [True] * 4 + [False]
+            assert rows[3][0] == 4
+        assert seg.stat().st_size == clean + last // 2
+        with ResultStore(root, repair=True) as store:
+            assert len(store) == 4
+        assert seg.stat().st_size == clean
+
+    def test_record_under_another_keys_digest_is_rejected(self, root):
+        ResultStore(root).close()
+        # A well-formed, CRC-valid record for key 2, filed under key
+        # 1's digest: only the embedded key can tell.
+        record = bytearray(_reference_record(_key(2), _result(2)))
+        record[4:36] = key_digest(_key(1))
+        (root / "segments" / "forged.seg").write_bytes(bytes(record))
+        with ResultStore(root) as store:
+            assert len(store) == 1 and store.stats.quarantined == 0
+            with pytest.raises(DataCorruptionError, match="different key"):
+                store.lookup_many([_key(3), _key(1)])
+            with pytest.raises(DataCorruptionError, match="different key"):
+                store.lookup(_key(1))
+            assert store.verify()["errors"]
 
 
 class TestManifest:
@@ -169,11 +301,11 @@ class TestCrashSemantics:
         """A closed store whose single segment ends mid-record."""
         with ResultStore(root) as store:
             for i in range(1, records + 1):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             (seg,) = _segments(store)
         clean = seg.stat().st_size
-        extra = encode_record(_key(99), _result(99))[:torn]
+        extra = _reference_record(_key(99), _result(99))[:torn]
         with open(seg, "ab") as fh:
             fh.write(extra)
         return seg, clean
@@ -182,7 +314,7 @@ class TestCrashSemantics:
         seg, clean = self._store_with_torn_tail(root)
         with ResultStore(root) as store:
             assert len(store) == 3
-            assert store.lookup(_key(2)).cycles == 2
+            assert store.lookup(_key(2))[0] == 2
         # A live reader must not touch a foreign segment: the tail may
         # be another writer's append in progress.
         assert seg.stat().st_size == clean + 20
@@ -209,7 +341,7 @@ class TestCrashSemantics:
         # next scan quarantines.
         with ResultStore(root) as writer:
             for i in range(1, 5):
-                writer.insert(_key(i), _result(i))
+                writer.insert(_key(i), _row(i))
             writer.flush()
             (seg,) = _segments(writer)
             full = seg.stat().st_size
@@ -225,16 +357,16 @@ class TestCrashSemantics:
             # Stale beyond-EOF index entries degrade to misses, and
             # the segment is rescanned once it grows again.
             assert reader.lookup(_key(4)) is None
-            writer.insert(_key(9), _result(9))
+            writer.insert(_key(9), _row(9))
             writer.flush()
             assert reader.refresh() >= 1
-            assert reader.lookup(_key(9)).cycles == 9
+            assert reader.lookup(_key(9))[0] == 9
             reader.close()
 
     def test_interior_corruption_quarantines_segment(self, root):
         with ResultStore(root) as store:
             for i in range(1, 4):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             (seg,) = _segments(store)
         data = bytearray(seg.read_bytes())
@@ -247,12 +379,12 @@ class TestCrashSemantics:
             quarantined = list(store.segment_dir.glob("*.quarantined*"))
             assert len(quarantined) == 1
             # The store stays writable after quarantine.
-            assert store.insert(_key(7), _result(7)) is True
-            assert store.lookup(_key(7)).cycles == 7
+            assert store.insert(_key(7), _row(7)) is True
+            assert store.lookup(_key(7))[0] == 7
 
     def test_bad_magic_quarantines_segment(self, root):
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             store.flush()
             (seg,) = _segments(store)
         data = bytearray(seg.read_bytes())
@@ -265,7 +397,7 @@ class TestCrashSemantics:
     def test_verify_clean_and_corrupt(self, root):
         with ResultStore(root) as store:
             for i in range(1, 4):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             report = store.verify()
             assert report["records"] == 3 and report["errors"] == []
@@ -289,15 +421,18 @@ class TestCrashSemantics:
     def test_concurrent_writers_converge(self, root):
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "from repro.store import ResultStore\n"
-            "from repro.arch.base import BlockResult\n"
+            "from repro.arch.base import VECTOR_WIDTH\n"
             "root, tag = sys.argv[1], int(sys.argv[2])\n"
+            "def row(cycles, products):\n"
+            "    out = np.zeros(VECTOR_WIDTH, dtype=np.int64)\n"
+            "    out[:2] = cycles, products\n"
+            "    return out\n"
             "with ResultStore(root) as store:\n"
             "    for i in range(40):\n"
-            "        store.insert(('ns', b'\\x01\\x02', b'\\x03'),\n"
-            "                     BlockResult(cycles=11, products=22))\n"
-            "        store.insert(('w%d' % tag, bytes([i]), b'x'),\n"
-            "                     BlockResult(cycles=i, products=i))\n"
+            "        store.insert(('ns', b'\\x01\\x02', b'\\x03'), row(11, 22))\n"
+            "        store.insert(('w%d' % tag, bytes([i]), b'x'), row(i, i))\n"
             "    store.flush()\n"
         )
         procs = [
@@ -312,7 +447,7 @@ class TestCrashSemantics:
         with ResultStore(root) as store:
             # The racing key converged to exactly one readable record...
             got = store.lookup(("ns", b"\x01\x02", b"\x03"))
-            assert got is not None and got.cycles == 11
+            assert got is not None and got[0] == 11
             # ...and nothing either writer appended was lost.
             assert len(store) == 1 + 2 * 40
             assert store.verify()["errors"] == []
@@ -329,9 +464,9 @@ class TestThreadSafety:
             def work(i):
                 for j in range(40):
                     key = _key(j % 251, ns=f"t{i}")
-                    assert store.insert(key, _result(j % 100)) is True
+                    assert store.insert(key, _row(j % 100)) is True
                     got = store.lookup(key)
-                    assert got is not None and got.cycles == j % 100
+                    assert got is not None and got[0] == j % 100
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 list(pool.map(work, range(8)))
@@ -346,7 +481,7 @@ class TestGC:
             with ResultStore(root) as store:
                 for i in range(1, 5):
                     store.insert(_key(10 * generation + i),
-                                 _result(10 * generation + i))
+                                 _row(10 * generation + i))
                 store.flush()
         with ResultStore(root, repair=True) as store:
             assert store.segments == 3
@@ -355,7 +490,7 @@ class TestGC:
             assert report.segments_removed == 3
             assert store.segments == 1
             assert len(store) == 12
-            assert store.lookup(_key(21)).cycles == 21
+            assert store.lookup(_key(21))[0] == 21
         # The compacted store reopens clean.
         with ResultStore(root) as store:
             assert len(store) == 12
@@ -364,7 +499,7 @@ class TestGC:
     def test_gc_budget_keeps_newest(self, root):
         with ResultStore(root) as store:
             for i in range(1, 11):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             per_record = store.bytes // 10
             report = store.gc(max_bytes=3 * per_record)
@@ -421,12 +556,12 @@ class TestFingerprintStability:
 class TestBlockCacheTier:
     def test_store_hit_promotes_into_lru(self, root):
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             cache = BlockCache(store=store)
-            assert cache.lookup(_key(1)).cycles == 1
+            assert cache.lookup(_key(1))[0] == 1
             assert (cache.stats.hits, cache.stats.store_hits) == (1, 1)
             # Promotion: the second lookup is pure LRU.
-            assert cache.lookup(_key(1)).cycles == 1
+            assert cache.lookup(_key(1))[0] == 1
             assert (cache.stats.hits, cache.stats.store_hits) == (2, 1)
             assert store.stats.hits == 1
 
@@ -439,12 +574,12 @@ class TestBlockCacheTier:
     def test_insert_writes_through(self, root):
         with ResultStore(root) as store:
             cache = BlockCache(store=store)
-            cache.insert(_key(5), _result(5))
-            assert store.lookup(_key(5)).cycles == 5
+            cache.insert(_key(5), _row(5))
+            assert store.lookup(_key(5))[0] == 5
 
     def test_as_dict_keys_appear_only_with_store_traffic(self, root):
         cache = BlockCache()
-        cache.insert(_key(1), _result(1))
+        cache.insert(_key(1), _row(1))
         cache.lookup(_key(1))
         assert "store_hits" not in cache.stats.as_dict()
         with ResultStore(root) as store:
