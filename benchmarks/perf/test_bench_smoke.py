@@ -97,6 +97,10 @@ def test_bench_smoke_report_structure(tmp_path):
     assert inf["dram_traffic_bytes"] > 0
     assert inf["store"]["hit_rate"] == 1.0
     assert inf["store"]["replay_seconds"] > 0
+    # LRU vs store identity for graphs: the store-replay run reproduces
+    # the batched run's ModelReport (host fields aside) exactly.
+    assert len(inf["model_digest"]) == 64
+    assert inf["store"]["model_digest"] == inf["model_digest"]
 
 
 def test_bench_cli_smoke(tmp_path, capsys):

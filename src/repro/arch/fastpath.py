@@ -9,15 +9,17 @@ engine's warm-path memoisation.  Per batch it
    (:func:`decode_a_operands` / :func:`decode_b_operands`);
 2. computes every block's T3 product counts with one batched einsum
    (:func:`~repro.arch.tms.tile_products_batch`);
-3. resolves **regular pattern classes analytically** — empty blocks,
-   uniform-product schedules (dense tiles, the SpMM all-ones B panels)
-   and DPG-bound streams — computing cycles, the utilisation histogram
-   and every energy action counter with closed-form array accounting
-   instead of stepping the TMS cycle by cycle;
-4. falls back to per-block :meth:`UniSTC.simulate_block` stepping only
-   for *irregular* blocks: streams whose dispatch windows carry an
-   output-tile conflict (round-robin arbitration reshuffles the
-   schedule) or an over-budget T3 task (the stepped path raises).
+3. packs every block's ordered T3 stream into dispatch cycles with one
+   batched greedy packer (:func:`_pack_greedy`) that advances all
+   blocks one cycle per numpy step;
+4. computes cycles, the utilisation histogram and every energy action
+   counter with closed-form array accounting over those cycles instead
+   of stepping the TMS cycle by cycle;
+5. replays only the task → cycle assignment of streams whose dispatch
+   windows carry an output-tile conflict (round-robin arbitration
+   reshuffles the schedule), and falls back to per-block
+   :meth:`UniSTC.simulate_block` stepping only for blocks with an
+   over-budget T3 task (the stepped path raises).
 
 The analytic accounting replicates the TMS dispatch rules exactly —
 window packing under the MAC/DPG budgets, wakeup-stall exposure, the
@@ -26,17 +28,16 @@ so results are equal field-for-field to the stepped path.  The parity
 suite (``tests/test_fastpath.py``) asserts this result-for-result on
 every kernel's block population.
 
-DPG decomposition never steps either: the six summary stats of
-:func:`~repro.arch.dpg.dpg_stats` have a closed form over the 4-bit
-row/column masks (:func:`_dpg_stats_batch`), computed for the whole
-batch's task arrays with bit arithmetic and scatter-added onto blocks
-in the integer domain.
+DPG decomposition never steps either: the summary stats of
+:func:`~repro.arch.dpg.dpg_stats` summed over a block's T3 tasks are
+dot products over the block's 16 shared indices of the column/row
+counts the decode returns, plus a 16x16 mask-intersection table for the
+T4 task count (:func:`_dpg_block_totals`) — exact array code with no
+per-task arrays; broadcasts equal the block's product count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,70 +108,75 @@ def decode_b_operands(
     )
 
 
-#: popcount of every 4-bit value (dot patterns are 4-bit masks).
-_POP4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
-#: Same table in uint8 — gathers over [T, 4, 4] pattern arrays stay
-#: byte-wide, with the widening deferred to the dtype of the final sum.
-_POP4_U8 = _POP4.astype(np.uint8)
-
-#: 16-bit tile bitmap -> its four 4-bit row masks / column masks, as
-#: one-gather lookup tables (256 KiB each); the uint8 domain keeps the
-#: [T, 4, 4] dot-pattern intermediates small.
-_ROW_MASKS = (
-    (np.arange(65536, dtype=np.uint32)[:, None] >> (4 * np.arange(4))) & 0xF
-).astype(np.uint8)
-_COL_MASKS = np.zeros((65536, 4), dtype=np.uint8)
-for _n in range(4):
-    for _k in range(4):
-        _COL_MASKS[:, _n] |= (
-            ((np.arange(65536) >> (4 * _k + _n)) & 1) << _k
-        ).astype(np.uint8)
-del _n, _k
+#: Bit weights of a 4-element slab row/column -> its 4-bit mask.
+_NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
+#: ``_INTERSECTS[v, w]``: do 4-bit masks ``v`` and ``w`` share a bit?
+#: float32 so the per-slab histogram product runs through BLAS.
+_INTERSECTS = (
+    (np.arange(16)[:, None] & np.arange(16)[None, :]) != 0
+).astype(np.float32)
 
 
-def _dpg_stats_batch(
-    a_tile_bitmaps: np.ndarray, b_tile_bitmaps: np.ndarray, n_cols: int
+def _dpg_block_totals(
+    a_stack: np.ndarray,
+    b_stack: np.ndarray,
+    a_cols: np.ndarray,
+    b_rows: np.ndarray,
 ) -> np.ndarray:
-    """Closed-form :func:`~repro.arch.dpg.dpg_stats` over flat task arrays.
+    """Per-block DPG totals ``[N, 3]``: T4 tasks, A and B element fetches.
 
-    Returns a ``[T, 6]`` per-T3-task stat matrix in
-    :data:`~repro.arch.dpg.DPG_STAT_FIELDS` order.  The stepped path's
-    :meth:`~repro.arch.dpg.DotProductGenerator.decompose` walks the
-    queue-fill order accumulating per-group ``seen`` masks; its fetch
-    totals reduce to popcounts of bitwise unions — an operand element is
-    fetched once per column-pair group in which any dot pattern uses it:
+    Closed form of :meth:`~repro.arch.dpg.DotProductGenerator.decompose`
+    summed over every T3 task of each block.  For one T3 task the
+    stepped walk reduces to bitwise unions of its 4-bit dot patterns
+    ``pattern[m][n] = a_row[m] & b_col[n]``; an operand element is
+    fetched once per column-pair group in which any pattern uses it:
 
-    - ``pattern[m][n] = a_row[m] & b_col[n]`` (4-bit masks);
-    - ``a_elem_fetches = sum over (group, m) of popcount(union over the
-      group's columns of pattern[m][n])``;
-    - ``b_elem_fetches = sum over n of popcount(b_col[n] & union of all
-      a_row[m])`` (every group spans all four rows);
-    - broadcasts are total pattern popcounts; T4 task count and C
-      writes are the number of nonzero patterns.
+    - ``a_elem_fetches = sum over kk of a_count[kk] * groups[kk]``, with
+      ``a_count`` the A tile's column counts and ``groups[kk]`` the
+      number of column-pair groups holding a B element in row ``kk``;
+    - ``b_elem_fetches = sum over kk of [a_count[kk] > 0] * b_count[kk]``
+      (every group spans all four A rows);
+    - T4 tasks (and C writes) are the nonzero patterns: the (A row,
+      B column) pairs whose masks intersect;
+    - broadcasts are the total pattern popcount, which is the task's
+      product count, so they need no stat here.
 
-    Unions are insensitive to intra-group order, so the ``z`` and ``n``
-    fill orders yield identical stats and the fill order needs no
-    parameter here.  ``tests/test_fastpath.py`` cross-checks this
-    against ``decompose`` exhaustively.
+    Each term is a product of an A factor and a B factor that vanishes
+    whenever the task has no products, so a block's sum runs over its
+    16 shared indices (``a_cols``/``b_rows`` from
+    :func:`decode_a_operands`/:func:`decode_b_operands`) rather than its
+    T3 task list.  Unions ignore intra-group order, so the ``z`` and
+    ``n`` fills agree.  ``tests/test_fastpath.py`` checks this against a
+    per-task oracle and against ``decompose``.
     """
-    a_rows = _ROW_MASKS[a_tile_bitmaps]                          # [T, m]
-    if n_cols == 4:
-        b_cols = _COL_MASKS[b_tile_bitmaps]                      # [T, n]
+    n, width = a_stack.shape[0], b_stack.shape[2]
+    a_count = a_cols.sum(axis=1).reshape(n, 16)
+    a_used = np.count_nonzero(a_cols, axis=1).reshape(n, 16)
+    b_count = b_rows.sum(axis=2).reshape(n, 16)
+    if width == 1:
+        groups = b_stack[:, :, 0]
     else:
-        b_cols = (np.asarray(b_tile_bitmaps) & 0xF).astype(np.uint8)[:, None]
-    pat = a_rows[:, :, None] & b_cols[:, None, :]                # [T, m, n]
-    t4 = np.count_nonzero(pat, axis=(1, 2)).astype(np.int64)
-    casts = _POP4_U8[pat].sum(axis=(1, 2), dtype=np.int64)
-    union_a = a_rows[:, 0] | a_rows[:, 1] | a_rows[:, 2] | a_rows[:, 3]
-    b_fetch = _POP4_U8[b_cols & union_a[:, None]].sum(axis=1, dtype=np.int64)
-    if n_cols == 4:
-        a_fetch = (
-            _POP4_U8[pat[:, :, 0] | pat[:, :, 1]].sum(axis=1, dtype=np.int64)
-            + _POP4_U8[pat[:, :, 2] | pat[:, :, 3]].sum(axis=1, dtype=np.int64)
+        # A uint16 view of a bool row holds one word per column pair.
+        groups = np.count_nonzero(
+            b_stack.view(np.uint16).reshape(n, 16, width // 2), axis=2
         )
-    else:
-        a_fetch = _POP4_U8[pat[:, :, 0]].sum(axis=1, dtype=np.int64)
-    return np.stack([t4, a_fetch, b_fetch, casts, casts, t4], axis=1)
+    a_fetch = (a_count * groups).sum(axis=1)
+    b_fetch = (a_used * b_count).sum(axis=1)
+
+    # T4 tasks: per shared slab k, histogram the 16 A-row and the B-column
+    # masks, then count intersecting pairs.  ``hits[p, k, v]`` (B columns
+    # meeting mask v) is at most 16, so it is exact in float32.
+    a_nib = a_stack.view(np.uint8).reshape(n, 16, 4, 4) @ _NIBBLE_WEIGHTS
+    b_nib = (
+        b_stack.view(np.uint8).reshape(n, 4, 4, width).transpose(0, 1, 3, 2)
+        @ _NIBBLE_WEIGHTS
+    )
+    slab = (np.arange(n, dtype=np.int64)[:, None] * 4 + np.arange(4)) * 16
+    hist_a = np.bincount((slab[:, None, :] + a_nib).ravel(), minlength=n * 64)
+    hist_b = np.bincount((slab[:, :, None] + b_nib).ravel(), minlength=n * 64)
+    hits = hist_b.reshape(n * 4, 16).astype(np.float32) @ _INTERSECTS
+    t4 = (hist_a * hits.ravel().astype(np.int64)).reshape(n, 64).sum(axis=1)
+    return np.stack([t4, a_fetch, b_fetch], axis=1)
 
 
 def _dispatch_order(
@@ -254,28 +260,41 @@ def _dispatch_conflicted(
     return cyc, cycle
 
 
-def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int) -> Tuple[np.ndarray, int]:
-    """Cycle ids of one block's ordered task stream under the MAC budget.
+def _pack_greedy(
+    pp: np.ndarray, offsets: np.ndarray, num_dpgs: int, macs: int
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Greedy window packing of many blocks' ordered task streams at once.
 
-    The exact greedy rule of :meth:`TileMultiplyScheduler.dispatch` for
+    The exact rule of :meth:`TileMultiplyScheduler.dispatch` for
     conflict-free streams: fill up to ``num_dpgs`` tasks per cycle, and
     a task that would push the cycle past ``macs`` products starts the
-    next cycle.  Every task must satisfy ``p <= macs`` (callers route
-    over-budget blocks to the stepped path, which raises).
+    next cycle.  Block ``b`` owns ``pp[offsets[b]:offsets[b + 1]]``
+    (never empty); every task must satisfy ``1 <= p <= macs``.
+
+    Since every ``p >= 1`` the flat prefix sum is strictly increasing
+    across block boundaries, so one ``searchsorted`` per step finds the
+    end of every live block's current cycle.  The loop advances all
+    blocks one cycle per step, so it runs as many steps as the longest
+    block has cycles.  Returns ``(cyc, ncyc, steps)``: each task's
+    cycle id within its block, each block's cycle count, and the step
+    count.
     """
-    cum = list(accumulate(p.tolist()))
-    total = len(cum)
-    cyc = np.empty(total, dtype=np.int64)
-    pos = 0
-    cycle = 0
-    while pos < total:
-        budget = (cum[pos - 1] if pos else 0) + macs
-        fit = bisect_right(cum, budget)
-        nxt = min(pos + num_dpgs, fit)
-        cyc[pos:nxt] = cycle
-        cycle += 1
-        pos = nxt
-    return cyc, cycle
+    cum = np.cumsum(pp)
+    base = cum - pp
+    starts = np.zeros(pp.size, dtype=np.int64)
+    pos = offsets[:-1].copy()
+    end = offsets[1:]
+    steps = 0
+    while pos.size:
+        starts[pos] = 1
+        fit = np.searchsorted(cum, base[pos] + macs, side="right")
+        pos = np.minimum(np.minimum(pos + num_dpgs, fit), end)
+        live = pos < end
+        pos, end = pos[live], end[live]
+        steps += 1
+    gcyc = np.cumsum(starts) - 1
+    cyc = gcyc - np.repeat(gcyc[offsets[:-1]], np.diff(offsets))
+    return cyc, np.add.reduceat(starts, offsets[:-1]), steps
 
 
 #: Counter insertion order of the stepped path (see ``box_rows``).
@@ -352,7 +371,7 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     count = len(tasks)
     a_stack, b_stack = stack_operands(tasks)
     a_tiles, a_cols = decode_a_operands(a_stack)
-    b_tiles, b_rows, n_cols = decode_b_operands(b_stack)
+    b_tiles, b_rows, _ = decode_b_operands(b_stack)
     products = tile_products_batch(a_cols, b_rows)  # [p, k, i, j]
     totals = products.sum(axis=(1, 2, 3))
     meta = (2 + (a_tiles != 0).sum(axis=(1, 2))
@@ -384,35 +403,15 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     nblocks = int(ne.size)
     tasks_per_block = np.bincount(bb, minlength=nblocks)
     offsets = np.concatenate(([0], np.cumsum(tasks_per_block)))
-    pos = np.arange(bb.size, dtype=np.int64) - offsets[bb]
 
-    # -- window packing: analytic where regular -------------------------
+    # -- window packing: every block at once ----------------------------
     macs, nd = cfg.macs, cfg.num_dpgs
-    pmax = np.maximum.reduceat(pp, offsets[:-1])
-    pmin = np.minimum.reduceat(pp, offsets[:-1])
-    fallback = pmax > macs  # stepping raises "no progress" for these
-    uniform = (pmax == pmin) & ~fallback
-    step = np.full(nblocks, nd, dtype=np.int64)
-    step[uniform] = np.minimum(nd, macs // np.maximum(pmin[uniform], 1))
-    step = np.maximum(step, 1)
-    cyc = pos // step[bb]
-    ncyc = (tasks_per_block + step - 1) // step
-
+    # Stepping raises "no progress" on an over-budget T3 task; those
+    # blocks pack with clipped products and are discarded below.
+    fallback = np.maximum.reduceat(pp, offsets[:-1]) > macs
+    cyc, ncyc, _ = _pack_greedy(np.minimum(pp, macs), offsets, nd, macs)
     cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
     gcyc = cyc_off[bb] + cyc
-    window_products = np.zeros(int(cyc_off[-1]), dtype=np.int64)
-    np.add.at(window_products, gcyc, pp)
-    over = np.nonzero(window_products > macs)[0]
-    if over.size:
-        # Non-uniform MAC-bound blocks: replay the exact greedy packing.
-        block_of_cycle = np.repeat(np.arange(nblocks), ncyc)
-        needs_pack = np.unique(block_of_cycle[over])
-        needs_pack = needs_pack[~fallback[needs_pack]]
-        for q in needs_pack:
-            lo, hi = int(offsets[q]), int(offsets[q + 1])
-            cyc[lo:hi], ncyc[q] = _pack_sequential(pp[lo:hi], nd, macs)
-        cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
-        gcyc = cyc_off[bb] + cyc
 
     if cfg.conflict_stall:
         # A same-output-tile conflict inside any window reshuffles the
@@ -503,20 +502,17 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
         block_of_cycle, weights=fetch_per_cycle, minlength=nfast
     ).astype(np.int64)
 
-    # -- DPG stage: closed-form decomposition stats, whole batch at once
-    a_sub = a_tiles[fast_global]
-    b_sub = b_tiles[fast_global]
-    dpg_totals = np.zeros((nfast, 6), dtype=np.int64)
-    np.add.at(
-        dpg_totals, bb, _dpg_stats_batch(a_sub[bb, ii, kk], b_sub[bb, kk, jj], n_cols)
+    # -- DPG stage: closed-form per-block totals, whole batch at once ----
+    a_sub = a_stack[fast_global]
+    b_sub = b_stack[fast_global]
+    dpg_totals = _dpg_block_totals(
+        a_sub, b_sub, a_cols[fast_global], b_rows[fast_global]
     )
 
     # float32 routes the batched matmul through BLAS; dot values are
     # bounded by the shared dim (16), so they are exact in float32.
     c_outputs = np.count_nonzero(
-        a_stack[fast_global].astype(np.float32)
-        @ b_stack[fast_global].astype(np.float32),
-        axis=(1, 2),
+        a_sub.astype(np.float32) @ b_sub.astype(np.float32), axis=(1, 2)
     )
 
     # -- assembly --------------------------------------------------------
@@ -551,14 +547,14 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     vec[:, ACTION_COL["a_net_transfers"]] = dpg_totals[:, 1]
     vec[:, ACTION_COL["b_net_transfers"]] = dpg_totals[:, 2]
     vec[:, ACTION_COL["c_net_transfers"]] = c_outputs
-    vec[:, ACTION_COL["a_broadcasts"]] = dpg_totals[:, 3]
-    vec[:, ACTION_COL["b_broadcasts"]] = dpg_totals[:, 4]
+    vec[:, ACTION_COL["a_broadcasts"]] = block_products
+    vec[:, ACTION_COL["b_broadcasts"]] = block_products
     vec[:, ACTION_COL["tile_fetches"]] = fetches
     vec[:, ACTION_COL["meta_reads"]] = block_meta
     vec[:, ACTION_COL["queue_ops"]] = 2 * tasks_per_block + 2 * t4_col
     vec[:, ACTION_COL["dpg_active_cycles"]] = active
     vec[:, ACTION_COL["dpg_gated_cycles"]] = gated
-    vec[:, ACTION_COL["accum_accesses"]] = dpg_totals[:, 5]
+    vec[:, ACTION_COL["accum_accesses"]] = t4_col
     vec[:, ACTION_COL["sched_cycles"]] = cycles_total
 
     for index, result in zip(fast_global.tolist(), box_rows(vec, _STEP_ORDER)):

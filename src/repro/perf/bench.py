@@ -36,6 +36,7 @@ JSON; the CLI front-end is ``repro bench``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import time
@@ -100,6 +101,19 @@ def report_digest(report) -> str:
         },
         sort_keys=True,
     )
+
+
+def model_digest(report) -> str:
+    """sha256 of a ``ModelReport``'s JSON without host fields.
+
+    ``wall_s`` and cache attribution are dropped; two routes through the
+    graph runtime claiming equivalence must produce identical digests.
+    """
+    doc = report.as_json()
+    doc.pop("wall_s")
+    doc.pop("cache")
+    text = json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _operands_for(kernel: str, bbc: BBCMatrix, seed: int) -> Dict[str, object]:
@@ -581,7 +595,10 @@ def bench_infer(repeat: int, smoke: bool = False) -> Dict[str, object]:
 
     ``totals_match`` cross-checks that batched and sequential agree on
     total compute cycles — the amortisation must not change a single
-    simulated number.
+    simulated number — and ``model_digest`` (see :func:`model_digest`)
+    is reported for the batched and the store-replay run, which must
+    match: served from the LRU or from the store, the graph's
+    ``ModelReport`` is the same.
     """
     import tempfile
 
@@ -625,11 +642,15 @@ def bench_infer(repeat: int, smoke: bool = False) -> Dict[str, object]:
                         cache=BlockCache(store=store)).run()
             store.flush()
             before = store.stats.snapshot()
-            replay_s = _time_best(
-                lambda: GraphRunner(graph, create_stc("uni-stc"), batch=batch,
-                                    cache=BlockCache(store=store)).run(),
-                repeat, label="infer_store_replay",
-            )
+            replay_holder: list = []
+
+            def replay() -> None:
+                replay_holder[:] = [GraphRunner(
+                    graph, create_stc("uni-stc"), batch=batch,
+                    cache=BlockCache(store=store),
+                ).run()]
+
+            replay_s = _time_best(replay, repeat, label="infer_store_replay")
             warm = store.stats.delta(before)
 
     return {
@@ -646,10 +667,12 @@ def bench_infer(repeat: int, smoke: bool = False) -> Dict[str, object]:
         "e2e_latency": breport.e2e_latency,
         "e2e_energy_pj": breport.e2e_energy_pj,
         "dram_traffic_bytes": breport.dram_traffic_bytes,
+        "model_digest": model_digest(breport),
         "store": {
             "replay_seconds": replay_s,
             "speedup": batched_s / replay_s if replay_s else 0.0,
             "hit_rate": warm.hit_rate,
+            "model_digest": model_digest(replay_holder[0]),
         },
     }
 
@@ -771,6 +794,7 @@ def render_summary(report: Dict[str, object]) -> str:
             f"hit rate {inf['sequential_hit_rate']:.1%} -> "
             f"{inf['batched_hit_rate']:.1%}; store replay "
             f"{inf['store']['replay_seconds']:.3f}s "
-            f"(hit rate {inf['store']['hit_rate']:.1%})"
+            f"(hit rate {inf['store']['hit_rate']:.1%}, digests_match="
+            f"{inf['store']['model_digest'] == inf['model_digest']})"
         )
     return "\n".join(lines)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 from repro.errors import ConfigError, ShapeError
 from repro.formats.bbc import BBCMatrix
 from repro.kernels.vector import SparseVector
@@ -104,16 +106,14 @@ def dram_energy_pj(traffic: Dict[str, float]) -> float:
     return sum(traffic.values()) * DRAM_PJ_PER_BYTE
 
 
-def _csr_structure(m: BBCMatrix):
-    """(row_ptr, col_idx) of the structural CSR, decoded sparsely."""
-    import numpy as np
+#: popcount of every byte value.
+_POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
-    rows, cols = m.structural_coords()
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    row_ptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m.shape[0]), out=row_ptr[1:])
-    return row_ptr, cols
+#: Columns (bits) per window of B's row bitsets: 512 bytes per row.
+_WINDOW_BITS = 4096
+
+#: Cap on the bytes of one gathered ``[entries, words]`` bitset block.
+_GATHER_BYTES = 1 << 22
 
 
 def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
@@ -122,35 +122,73 @@ def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
     Used for SpGEMM write-back traffic: partial products accumulate
     on-chip, so only the final output elements cross to memory.
 
-    Computed as a sparse CSR boolean product: every structural flop
-    (A[i,k] != 0, B[k,j] != 0) is expanded to its output coordinate
-    and distinct coordinates are counted.  Memory scales with the
-    structural flop count — never the O(nrows x ncols) dense product
-    the old implementation allocated, which made the large end of the
-    corpus a crash waiting to happen.
+    Row ``i`` of C is the union of the B rows that row ``i`` of A
+    selects.  B's occupied rows are packed into bit words, each A row's
+    selected rows are OR-reduced with ``np.bitwise_or.reduceat``, and the
+    unions are popcounted.  A B wider than :data:`_WINDOW_BITS` is
+    ranked down to its occupied columns and packed that many columns at
+    a time, and A's entries are gathered in chunks of at most
+    :data:`_GATHER_BYTES`, so memory is bounded by the operands'
+    nonzeros — never a dense rows x cols array, which would make the
+    large end of the corpus a crash waiting to happen.
     """
-    import numpy as np
-
     other = b if b is not None else a
     if a.shape[1] != other.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {other.shape}")
     a_rows, a_cols = a.structural_coords()
-    if a_rows.size == 0:
+    b_rows, b_cols = other.structural_coords()
+    if a_rows.size == 0 or b_rows.size == 0:
         return 0
-    b_row_ptr, b_cols = _csr_structure(other)
-    counts = b_row_ptr[a_cols + 1] - b_row_ptr[a_cols]
-    keep = counts > 0
-    if not np.any(keep):
-        return 0
-    a_rows, a_cols, counts = a_rows[keep], a_cols[keep], counts[keep]
-    ends = np.cumsum(counts)
-    offsets = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(ends - counts, counts)
-    out_cols = b_cols[np.repeat(b_row_ptr[a_cols], counts) + offsets]
-    out_rows = np.repeat(a_rows, counts)
-    # int64 coordinate keys cannot overflow for any matrix whose dense
-    # form would even be addressable.
-    keys = out_rows * np.int64(other.shape[1]) + out_cols
-    return int(np.unique(keys).size)
+    order = np.argsort(a_rows)
+    a_rows, a_cols = a_rows[order], a_cols[order]
+    if other.shape[1] <= _WINDOW_BITS:
+        return _window_output_nnz(a_rows, a_cols, b_rows, b_cols)
+    # Wide B: rank its occupied columns (distinct columns stay distinct,
+    # so the nnz is unchanged) and take the ranks a window at a time.
+    order = np.argsort(b_cols)
+    b_rows, b_cols = b_rows[order], b_cols[order]
+    b_cols = np.cumsum(np.diff(b_cols, prepend=b_cols[0]) != 0)
+    windows = int(b_cols[-1]) // _WINDOW_BITS + 1
+    bounds = np.searchsorted(b_cols, np.arange(windows + 1) * _WINDOW_BITS)
+    return sum(
+        _window_output_nnz(a_rows, a_cols, b_rows[lo:hi],
+                           b_cols[lo:hi] - w * _WINDOW_BITS)
+        for w, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+    )
+
+
+def _window_output_nnz(
+    a_rows: np.ndarray, a_cols: np.ndarray, b_rows: np.ndarray, b_cols: np.ndarray
+) -> int:
+    """Output nnz of A (row-sorted entries) times one column window of B."""
+    packed_rows, slot = np.unique(b_rows, return_inverse=True)
+    words = int(b_cols.max()) // 8 + 1
+    # (row, column) pairs are distinct, so each byte is a sum of
+    # distinct bit weights (<= 255, exact in bincount's float64).
+    packed = np.bincount(
+        slot * words + (b_cols >> 3),
+        weights=np.left_shift(1, b_cols & 7),
+        minlength=packed_rows.size * words,
+    ).astype(np.uint8).reshape(packed_rows.size, words)
+    pos = np.minimum(np.searchsorted(packed_rows, a_cols), packed_rows.size - 1)
+    hit = packed_rows[pos] == a_cols
+    rows, slots = a_rows[hit], pos[hit]
+    total = 0
+    # The last row of a chunk may continue into the next one, so its
+    # union is carried and counted once the row is complete.
+    carry_row, carry = -1, np.zeros(words, dtype=np.uint8)
+    step = max(1, _GATHER_BYTES // words)
+    for lo in range(0, rows.size, step):
+        r = rows[lo:lo + step]
+        heads = np.flatnonzero(np.diff(r, prepend=-1))
+        merged = np.bitwise_or.reduceat(packed[slots[lo:lo + step]], heads, axis=0)
+        if r[0] == carry_row:
+            merged[0] |= carry
+        else:
+            total += int(_POPCOUNT8[carry].sum())
+        carry_row, carry = r[-1], merged[-1]
+        total += int(_POPCOUNT8[merged[:-1]].sum(dtype=np.int64))
+    return total + int(_POPCOUNT8[carry].sum())
 
 
 def memory_cycles(traffic: Dict[str, float], config: MemoryConfig = DEFAULT_MEMORY) -> int:

@@ -17,10 +17,12 @@ import pytest
 from repro.arch.config import Precision, UniSTCConfig, parse_precision
 from repro.arch.dpg import DotProductGenerator, dpg_stats
 from repro.arch.fastpath import (
-    _dpg_stats_batch,
+    _dpg_block_totals,
+    _pack_greedy,
     decode_a_operands,
     decode_b_operands,
 )
+from repro.arch.tms import tile_products_batch
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC, decode_a_operand, decode_b_operand
 from repro.errors import SimulationError
@@ -30,6 +32,7 @@ from repro.kernels.batched import coalesce_raw, kernel_task_batches
 from repro.kernels.vector import SparseVector
 from repro.registry import create_stc
 from repro.workloads.synthetic import banded, random_uniform
+from tests.oracles import dpg_stats_per_task, pack_sequential
 
 
 def _kernel_tasks(limit_per_kernel: int = 80) -> list:
@@ -240,6 +243,9 @@ class TestBatchedDecode:
 
 
 class TestDpgStatsBatch:
+    """The per-task closed-form oracle the block totals are checked
+    against, itself checked against ``decompose``."""
+
     @pytest.mark.parametrize("n_cols,mask", [(4, 0xFFFF), (1, 0xF)])
     def test_matches_decompose(self, n_cols, mask):
         rng = np.random.default_rng(9)
@@ -247,7 +253,7 @@ class TestDpgStatsBatch:
         b = rng.integers(0, mask + 1, size=3000, dtype=np.int64)
         a[:4] = [0, 0xFFFF, 0x8001, 0x00F0]
         b[:4] = [0, mask, mask, 0]
-        got = _dpg_stats_batch(a, b, n_cols)
+        got = dpg_stats_per_task(a, b, n_cols)
         # The six summary stats are unions/popcounts, insensitive to
         # the queue-fill order — both fills must agree with the batch.
         for fill in ("z", "n"):
@@ -267,6 +273,129 @@ class TestDpgStatsBatch:
         rng = np.random.default_rng(10)
         a = rng.integers(0, 1 << 16, size=500, dtype=np.int64)
         b = rng.integers(0, 1 << 16, size=500, dtype=np.int64)
-        got = _dpg_stats_batch(a, b, 4)
+        got = dpg_stats_per_task(a, b, 4)
         for i in range(a.size):
             assert tuple(got[i]) == dpg_stats(int(a[i]), int(b[i]), 4, "z")
+
+
+def _grid_blocks(a_grid, b_grid):
+    """Operand stacks from tile grids.
+
+    ``a_grid[q, i, k]`` / ``b_grid[q, k, j]`` are 16-bit tile bitmaps
+    (weight ``1 << (4 * row + col)``); a ``[Q, 4, 1]`` B grid holds 4-bit
+    vector tiles.
+    """
+    count, tiles_j = a_grid.shape[0], b_grid.shape[2]
+    n_cols = 4 if tiles_j == 4 else 1
+    a_bits = ((a_grid[..., None] >> np.arange(16)) & 1).astype(bool)
+    b_bits = ((b_grid[..., None] >> np.arange(4 * n_cols)) & 1).astype(bool)
+    # [q, ti, tj, ei, ej] -> [q, ti, ei, tj, ej] -> row-major bitmap.
+    a_stack = a_bits.reshape(count, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4)
+    b_stack = b_bits.reshape(count, 4, tiles_j, 4, n_cols).transpose(0, 1, 3, 2, 4)
+    return (a_stack.reshape(count, 16, 16),
+            b_stack.reshape(count, 16, tiles_j * n_cols))
+
+
+def _block_totals(a_stack, b_stack):
+    _, a_cols = decode_a_operands(a_stack)
+    _, b_rows, _ = decode_b_operands(b_stack)
+    products = tile_products_batch(a_cols, b_rows).sum(axis=(1, 2, 3))
+    return _dpg_block_totals(a_stack, b_stack, a_cols, b_rows), products
+
+
+class TestDpgBlockTotals:
+    """Per-block totals against the per-task oracle summed per block."""
+
+    def _check_grids(self, a_grid, b_grid):
+        n_cols = 4 if b_grid.shape[2] == 4 else 1
+        got, products = _block_totals(*_grid_blocks(a_grid, b_grid))
+        # Every (i, k, j) tile pair of the block is a T3 task; pairs
+        # without products contribute zero stats.
+        a_t = np.broadcast_to(a_grid[:, :, :, None], a_grid.shape + (b_grid.shape[2],))
+        b_t = np.broadcast_to(b_grid[:, None, :, :], a_t.shape)
+        per_task = dpg_stats_per_task(a_t.ravel(), b_t.ravel(), n_cols)
+        want = per_task.reshape(a_grid.shape[0], -1, 6).sum(axis=1)
+        # [t4, a_fetch, b_fetch]; broadcasts equal the product count.
+        assert np.array_equal(got, want[:, :3])
+        assert np.array_equal(products, want[:, 3])
+        assert np.array_equal(want[:, 3], want[:, 4])
+        assert np.array_equal(want[:, 0], want[:, 5])
+
+    def test_every_vector_tile_pair(self):
+        """All 65536 x 16 (A tile, 1-column B tile) pairs, 16 per block."""
+        pair = np.arange(16 << 16).reshape(-1, 4, 4)          # [q, i, k]
+        a_grid = pair & 0xFFFF
+        b_grid = (pair[:, 0, :] >> 16)[:, :, None]            # [q, k, 1]
+        for lo in range(0, pair.shape[0], 1 << 14):
+            self._check_grids(a_grid[lo:lo + (1 << 14)], b_grid[lo:lo + (1 << 14)])
+
+    def test_random_matrix_tile_pairs(self):
+        """131072 random (A tile, B tile) pairs, 64 per block, at bit
+        densities from 1/16 to 1/2."""
+        rng = np.random.default_rng(22)
+
+        def tiles(shape):
+            masks = rng.integers(0, 1 << 16, size=(4,) + shape)
+            depth = rng.integers(1, 5, size=shape)
+            return np.bitwise_and.reduce(
+                np.where(np.arange(4)[:, None, None, None] < depth, masks, 0xFFFF))
+
+        a_grid, b_grid = tiles((2048, 4, 4)), tiles((2048, 4, 4))
+        a_grid[0], b_grid[0] = 0xFFFF, 0xFFFF
+        a_grid[1], b_grid[1] = 0, 0xFFFF
+        self._check_grids(a_grid, b_grid)
+
+    @pytest.mark.parametrize("width", [16, 1])
+    def test_whole_blocks_sum_their_tasks(self, width):
+        """Zero-product tasks contribute nothing to the block sums."""
+        rng = np.random.default_rng(23)
+        a_stack = rng.random((300, 16, 16)) < rng.random((300, 1, 1))
+        b_stack = rng.random((300, 16, width)) < rng.random((300, 1, 1))
+        got, _ = _block_totals(a_stack, b_stack)
+        a_tiles, a_cols = decode_a_operands(a_stack)
+        b_tiles, b_rows, n_cols = decode_b_operands(b_stack)
+        bb, kk, ii, jj = np.nonzero(tile_products_batch(a_cols, b_rows))
+        per_task = dpg_stats_per_task(
+            a_tiles[bb, ii, kk], b_tiles[bb, kk, jj], n_cols)
+        want = np.zeros((300, 3), dtype=np.int64)
+        np.add.at(want, bb, per_task[:, :3])
+        assert np.array_equal(got, want)
+
+
+#: (num_dpgs, macs) of every configuration the parity suite sweeps.
+PACK_BUDGETS = sorted({
+    (build().config.num_dpgs, build().config.macs)
+    for build in MODEL_VARIANTS.values()
+})
+
+
+def _random_streams(rng, blocks, num_dpgs, macs):
+    """Concatenated product streams (lengths 1-64, ``1 <= p <= macs``)."""
+    lengths = rng.integers(1, 65, size=blocks)
+    # Half the blocks draw small products so DPG-bound cycles occur too.
+    cap = np.where(rng.random(blocks) < 0.5, macs, max(1, macs // num_dpgs) + 1)
+    pp = rng.integers(1, np.repeat(cap, lengths) + 1)
+    return pp, np.concatenate(([0], np.cumsum(lengths)))
+
+
+class TestGreedyPacker:
+    @pytest.mark.parametrize("num_dpgs,macs", PACK_BUDGETS)
+    def test_matches_sequential_packing(self, num_dpgs, macs):
+        rng = np.random.default_rng(num_dpgs * 1000 + macs)
+        pp, offsets = _random_streams(rng, 600, num_dpgs, macs)
+        cyc, ncyc, _ = _pack_greedy(pp, offsets, num_dpgs, macs)
+        for q in range(offsets.size - 1):
+            lo, hi = offsets[q], offsets[q + 1]
+            want_cyc, want_n = pack_sequential(pp[lo:hi], num_dpgs, macs)
+            assert np.array_equal(cyc[lo:hi], want_cyc), (num_dpgs, macs, q)
+            assert ncyc[q] == want_n, (num_dpgs, macs, q)
+
+    def test_steps_track_the_longest_block(self):
+        """The packer steps once per cycle of the longest block, not
+        once per block."""
+        rng = np.random.default_rng(24)
+        cfg = UniSTCConfig()
+        pp, offsets = _random_streams(rng, 4096, cfg.num_dpgs, cfg.macs)
+        _, ncyc, steps = _pack_greedy(pp, offsets, cfg.num_dpgs, cfg.macs)
+        assert steps == int(ncyc.max())
+        assert steps <= 64
