@@ -12,25 +12,29 @@ import pytest
 
 from benchmarks.harness import headline_stcs
 from repro.analysis.tables import print_table
-from repro.arch.tasks import T1Task
-from repro.sim.engine import simulate_tasks
+from repro.kernels.batched import TaskBatch
+from repro.sim.engine import simulate_batches
 
 
-def _embedded_task(rng, density=0.5):
-    """A random 8x8x8 sub-problem inside the 16x16x16 T1 frame."""
-    a = np.zeros((16, 16), dtype=bool)
-    b = np.zeros((16, 16), dtype=bool)
-    a[:8, :8] = rng.random((8, 8)) < density
-    b[:8, :8] = rng.random((8, 8)) < density
-    return T1Task.from_bitmaps(a, b)
+def _embedded_tasks(rng, count, density=0.5):
+    """``count`` random 8x8x8 sub-problems inside the 16x16x16 T1 frame."""
+    a = np.zeros((count, 16, 16), dtype=bool)
+    b = np.zeros((count, 16, 16), dtype=bool)
+    for i in range(count):
+        a[i, :8, :8] = rng.random((8, 8)) < density
+        b[i, :8, :8] = rng.random((8, 8)) < density
+    index = np.arange(count, dtype=np.int64)
+    return TaskBatch(a_patterns=a, b_patterns=b, a_index=index,
+                     b_index=index, weights=np.ones(count, dtype=np.int64),
+                     n=16)
 
 
 def _compute():
     rng = np.random.default_rng(1)
-    tasks = [_embedded_task(rng) for _ in range(60)]
+    tasks = _embedded_tasks(rng, 60)
     out = {}
     for name, stc in headline_stcs().items():
-        report = simulate_tasks(stc, tasks, kernel="case-study")
+        report = simulate_batches(stc, [tasks], kernel="case-study")
         out[name] = report.mean_utilisation
     return out
 

@@ -17,12 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
+import numpy as np
+
 from repro.arch.isa import UWMMA
 from repro.arch.pipeline import PIPELINE_STAGES
+from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.errors import SimulationError
 from repro.formats.bbc import BBCMatrix
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import kernel_task_batches
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,26 @@ def compile_kernel(
     the current numeric phase, so only generation time exceeding the
     previous block's execution shows up as a stall — the first block
     always pays the pipeline fill.
+
+    Stalls depend on issue order, so tasks issue in stored-block order:
+    all of one A block's tasks (e.g. its full SpMM panels, then its
+    tail panel) before the next block's.
     """
     uni = stc or UniSTC()
     vector = kernel.lower() in ("spmv", "spmspv")
     suffix = "mv" if vector else "mm"
     result = ProgramResult(kernel=kernel.lower())
 
+    tasks = []
+    for batch in kernel_task_batches(kernel, a, **operands):
+        for i in np.argsort(batch.a_index, kind="stable"):
+            tasks.append(T1Task.from_bitmaps(
+                batch.a_patterns[batch.a_index[i]],
+                batch.b_patterns[batch.b_index[i]],
+                weight=int(batch.weights[i]),
+            ))
     pending_generation = 0  # generation cycles not yet hidden
-    for task in kernel_tasks(kernel, a, **operands):
-        block = uni.simulate_block(task)
+    for task, block in zip(tasks, uni.simulate_blocks(tasks)):
         for _ in range(task.weight):
             exec_cycles = max(1, block.cycles)
             gen_inst = UWMMA[f"stc.task_gen.{suffix}"]

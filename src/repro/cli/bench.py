@@ -22,16 +22,17 @@ def cmd_bench(args: argparse.Namespace, session: Session) -> int:
     print(render_summary(report))
     if args.out:
         print(f"\nwrote {args.out}")
-    if not report["corpus_sweep"]["totals_match"]:
-        print("error: legacy and fast sweep paths disagree on totals",
+    store, infer = report["store"], report["infer"]
+    if not store["reports_identical"]:
+        bad = ", ".join(store["report_mismatches"][:5])
+        print(f"error: cold, store and LRU per-case reports diverge ({bad})",
               file=sys.stderr)
-        session.fail("legacy and fast sweep paths disagree on totals")
+        session.fail("cold, store and LRU per-case reports diverge")
         return 1
-    if not report["corpus_sweep"]["cold"]["reports_identical"]:
-        bad = ", ".join(report["corpus_sweep"]["cold"]["report_mismatches"][:5])
-        print(f"error: legacy and fast per-case reports diverge ({bad})",
+    if infer["model_digest"] != infer["store"]["model_digest"]:
+        print("error: batched and store-replay inference digests differ",
               file=sys.stderr)
-        session.fail("legacy and fast per-case reports diverge")
+        session.fail("batched and store-replay inference digests differ")
         return 1
     return 0
 

@@ -1,32 +1,37 @@
-"""Vectorised (batched) T1 task enumeration.
+"""T1 task streams of the four sparse kernels, as arrays.
 
-The generators in :mod:`repro.kernels.taskstream` build one
-:class:`~repro.arch.tasks.T1Task` object per stored block — a Python
-loop whose per-task overhead (array checks, ``tobytes``, dataclass
-construction) dominates corpus-scale sweeps.  This module enumerates
-the *same* task streams as arrays:
+Every simulator in this package consumes the *same* stream of T1 tasks
+(16x16x16 block multiplies described by occupancy bitmaps), built here
+for the kernel dataflows of §V-A:
 
-- a :class:`TaskBatch` holds the operand bitmaps once (``a_patterns``
-  / ``b_patterns``) plus integer index/weight arrays describing every
-  task as an (A pattern, B pattern) pair;
-- :func:`coalesce` collapses content-identical pairs into weighted
-  unique :class:`T1Task` objects with pure array ops, so the engine
-  simulates each distinct bitmap pair once regardless of how many
-  thousand blocks share it.
+- SpMV / SpMSpV (Algorithm 1): one task per nonzero A block whose
+  x-segment is live; the B operand is a 16x1 mask.
+- SpMM (Algorithm 2, dense B): each nonzero A block meets every 16-wide
+  column panel of B; identical panels collapse into one weighted task.
+- SpGEMM (Algorithm 2): row-by-row outer product — each A block (I, K)
+  meets every stored B block in block row K.
 
-Totals (tasks, products, cycles, counters, energy) are exactly those
-of the per-object generators — asserted task-for-task in the test
-suite — only the enumeration cost changes.
+A :class:`TaskBatch` holds the operand bitmaps once (``a_patterns`` /
+``b_patterns``) plus integer index/weight arrays describing every task
+as an (A pattern, B pattern) pair.  :func:`coalesce_raw` collapses
+content-identical pairs into weighted unique byte-string pairs with
+pure array ops, so the engine simulates each distinct bitmap pair once
+regardless of how many thousand blocks share it.
+
+Every builder takes an optional ``rows`` range restricting it to a
+contiguous span of block rows — the single enumeration the multi-core
+partitioner (:mod:`repro.sim.parallel`) reuses, so the serial and
+per-core streams cannot drift.  The test suite keeps a per-object
+generator form of each stream and asserts the two agree task for task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.arch.tasks import T1Task
 from repro.errors import ShapeError
 from repro.formats.bbc import BLOCK, BBCMatrix
 from repro.kernels.vector import SparseVector
@@ -62,13 +67,6 @@ class TaskBatch:
     def total_tasks(self) -> int:
         """Total T1 tasks represented (weights included)."""
         return int(self.weights.sum()) if self.weights.size else 0
-
-    def iter_tasks(self) -> Iterator[T1Task]:
-        """Materialise the batch as individual tasks (reference path)."""
-        for ai, bi, w in zip(self.a_index, self.b_index, self.weights):
-            yield T1Task.from_bitmaps(
-                self.a_patterns[int(ai)], self.b_patterns[int(bi)], weight=int(w)
-            )
 
 
 def _empty_batch(n: int) -> TaskBatch:
@@ -222,7 +220,14 @@ def spgemm_batch(a: BBCMatrix, b: Optional[BBCMatrix] = None,
 def kernel_task_batches(kernel: str, a: BBCMatrix,
                         rows: Optional[range] = None,
                         **operands) -> List[TaskBatch]:
-    """Batched equivalent of :func:`repro.kernels.taskstream.kernel_tasks`."""
+    """The task stream of ``kernel`` by name, as a list of batches.
+
+    ``kernel`` is one of ``spmv``, ``spmspv`` (needs ``x``), ``spmm``
+    (optional ``b_cols``, default 64) or ``spgemm`` (optional ``b``,
+    default A itself, i.e. the paper's C = A^2 setting).  ``rows``
+    restricts enumeration to a contiguous block-row range — the hook
+    the static multi-core partitioner uses.
+    """
     name = kernel.lower()
     if name == "spmv":
         return [spmv_batch(a, rows=rows)]
@@ -255,24 +260,17 @@ class CoalescedBatch:
     """A batch collapsed to weighted unique bitmap pairs, as raw bytes.
 
     ``a_bytes``/``b_bytes`` hold one ``bool``-layout byte string per
-    distinct pattern (exactly what :meth:`T1Task.cache_key` exposes),
+    distinct pattern (exactly what :meth:`~repro.arch.tasks.T1Task.cache_key` exposes),
     ``pairs`` the ``(a_bytes index, b_bytes index, weight)`` triples.
     The engine consumes this directly — memo keys need only the byte
-    strings, so :class:`T1Task` objects are built lazily for cache
-    misses alone.
+    strings, so :class:`~repro.arch.tasks.T1Task` objects are built
+    lazily for cache misses alone.
     """
 
     a_bytes: List[bytes]
     b_bytes: List[bytes]
     pairs: List[Tuple[int, int, int]]
     n: int
-
-    def tasks(self) -> List[T1Task]:
-        """Materialise the weighted unique tasks."""
-        return [
-            T1Task(self.a_bytes[ai], self.b_bytes[bi], n=self.n, weight=w)
-            for ai, bi, w in self.pairs
-        ]
 
 
 def coalesce_raw(batch: TaskBatch) -> CoalescedBatch:
@@ -303,12 +301,3 @@ def coalesce_raw(batch: TaskBatch) -> CoalescedBatch:
     pairs = list(zip(pair_a, pair_b, agg.tolist()))
     return CoalescedBatch(a_bytes, b_bytes, pairs, batch.n)
 
-
-def coalesce(batch: TaskBatch) -> Tuple[List[T1Task], np.ndarray]:
-    """Collapse content-identical bitmap pairs into weighted tasks.
-
-    Returns weighted unique :class:`T1Task` objects (their ``weight``
-    already aggregates the batch weights) plus the weight array.
-    """
-    raw = coalesce_raw(batch)
-    return raw.tasks(), np.asarray([w for _, _, w in raw.pairs], dtype=np.int64)

@@ -3,13 +3,11 @@
 Three sections, mirroring where corpus sweeps actually spend time:
 
 - **encode** — COO -> BBC conversion over the corpus;
-- **enumeration** — per-kernel T1 task stream construction, legacy
-  per-object generators vs the batched array builders (coalesce
-  included, so the batched numbers pay their full cost);
-- **corpus_sweep** — end-to-end over a corpus, the legacy per-object
-  ``simulate_tasks`` reference vs the fast ``simulate_kernel`` path,
-  each mode with its own fresh shared cache so the comparison is
-  cold-start fair;
+- **enumeration** — per-kernel T1 task stream construction by the
+  batched array builders (coalescing included, so the numbers pay the
+  full cost of the stream the engine consumes);
+- **corpus_sweep** — end-to-end ``simulate_kernel`` over a corpus,
+  cold (fresh shared cache) and warm (every pattern cached);
 - **obs** — the observability layer's cost: warm sweep with tracing
   off vs on, plus the dormant null-span fast path measured directly
   (the <2%-when-disabled budget from ``docs/observability.md``);
@@ -26,8 +24,8 @@ Three sections, mirroring where corpus sweeps actually spend time:
 
 Timing is best-of-``repeat`` wall seconds (``time.perf_counter``);
 best-of suppresses scheduler noise without needing a quiet machine.
-The sweep section also cross-checks that both paths agree on total
-cycles/products/tasks — a benchmark that got faster by computing
+The store and infer sections cross-check that every route they time
+reports identical digests — a benchmark that got faster by computing
 something else is a bug, not a win.
 
 ``run_bench`` returns the report as a dict and optionally writes it as
@@ -48,16 +46,15 @@ import numpy as np
 from repro import obs
 from repro.formats.bbc import BBCMatrix
 from repro.kernels import KERNELS
-from repro.kernels.batched import coalesce, kernel_task_batches
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import coalesce_raw, kernel_task_batches
 from repro.kernels.vector import SparseVector
 from repro.registry import create_stc
 from repro.sim.blockcache import BlockCache
-from repro.sim.engine import simulate_kernel, simulate_tasks
+from repro.sim.engine import simulate_kernel
 from repro.workloads.suitesparse import MatrixSpec, corpus
 
 #: Report schema version; bump when the JSON layout changes.
-BENCH_SCHEMA = 5
+BENCH_SCHEMA = 6
 
 
 def _time_best(fn: Callable[[], object], repeat: int,
@@ -83,8 +80,8 @@ def report_digest(report) -> str:
 
     Host-dependent fields (wall time, cache attribution) are excluded;
     two evaluation paths claiming equivalence must produce identical
-    digests case-for-case.  Used by the sweep bench's per-case
-    legacy-vs-fast identity check and by the CI smoke test.
+    digests case-for-case.  Used by the store bench's per-case
+    cold/store/LRU identity check and by the parity tests.
     """
     return json.dumps(
         {
@@ -148,11 +145,10 @@ def bench_encode(specs: Sequence[MatrixSpec], repeat: int) -> Dict[str, object]:
 def bench_enumeration(
     mats: Sequence[Tuple[str, BBCMatrix]], repeat: int
 ) -> Dict[str, Dict[str, object]]:
-    """Per-kernel task-stream construction: generator vs batched.
+    """Per-kernel task-stream construction, coalescing included.
 
-    The batched column includes coalescing, so it reports the full
-    cost of producing the weighted unique-task stream the engine
-    actually consumes.
+    Reports the full cost of producing the weighted unique-task stream
+    the engine actually consumes.
     """
     out: Dict[str, Dict[str, object]] = {}
     for kernel in KERNELS:
@@ -161,28 +157,20 @@ def bench_enumeration(
             for i, (_, bbc) in enumerate(mats)
         ]
 
-        def legacy() -> None:
-            for bbc, operands in cases:
-                for _ in kernel_tasks(kernel, bbc, **operands):
-                    pass
-
         def batched() -> None:
             for bbc, operands in cases:
                 for batch in kernel_task_batches(kernel, bbc, **operands):
-                    coalesce(batch)
+                    coalesce_raw(batch)
 
         total_tasks = sum(
             batch.total_tasks
             for bbc, operands in cases
             for batch in kernel_task_batches(kernel, bbc, **operands)
         )
-        legacy_s = _time_best(legacy, repeat, label=f"enum_legacy:{kernel}")
-        batched_s = _time_best(batched, repeat, label=f"enum_batched:{kernel}")
         out[kernel] = {
             "tasks": int(total_tasks),
-            "legacy_seconds": legacy_s,
-            "batched_seconds": batched_s,
-            "speedup": legacy_s / batched_s if batched_s else 0.0,
+            "batched_seconds": _time_best(
+                batched, repeat, label=f"enum_batched:{kernel}"),
         }
     return out
 
@@ -192,119 +180,61 @@ def bench_corpus_sweep(
     kernels: Sequence[str],
     repeat: int,
 ) -> Dict[str, object]:
-    """End-to-end ``simulate_kernel`` sweep: legacy vs fast path.
+    """End-to-end ``simulate_kernel`` sweep, cold and warm.
 
-    Two regimes per mode, on the identical case list:
+    Two regimes on the identical case list:
 
     - **cold** — a fresh shared :class:`BlockCache`, so every distinct
-      block pattern pays one ``simulate_block`` call.  Cold time is
-      dominated by the STC models themselves, which both paths share.
+      block pattern is simulated once.  Cold time is dominated by the
+      STC models' ``simulate_blocks``.
     - **warm** — the cache already holds every pattern, the regime a
       sweep service actually runs in (``repro corpus --store`` serves
       repeated campaigns from a result store for exactly this
-      reason).  Warm time *is* the enumeration + aggregation
-      overhead this layer owns, so the headline ``speedup`` is the
-      warm ratio.
+      reason).  Warm time *is* the enumeration + aggregation overhead
+      this layer owns.
 
-    Totals (cycles / products / tasks) are cross-checked between the
-    modes — a disagreement invalidates the whole comparison.  Stronger
-    still, the last cold pass of each mode keeps every per-case report
-    digest (:func:`report_digest` — everything but host wall time and
-    cache attribution) and the modes must agree **per case**:
-    ``reports_identical`` is the byte-identity claim the fast path
-    makes, and ``report_mismatches`` names any case violating it.
+    ``totals`` sums cycles / products / tasks over the last cold pass;
+    ``cache`` is that pass's cache statistics.
     """
     cases = [
-        (name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
-        for i, (name, bbc) in enumerate(mats)
+        (bbc, kernel, _operands_for(kernel, bbc, seed=i))
+        for i, (_, bbc) in enumerate(mats)
         for kernel in kernels
     ]
 
-    def legacy(kernel, bbc, stc, cache, operands):
-        return simulate_tasks(stc, kernel_tasks(kernel, bbc, **operands),
-                              kernel=kernel, cache=cache)
-
-    def fast(kernel, bbc, stc, cache, operands):
-        return simulate_kernel(kernel, bbc, stc, cache=cache, **operands)
-
-    def sweep(
-        simulate: Callable,
-        cache: BlockCache,
-        digests: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, int]:
+    def sweep(cache: BlockCache) -> Dict[str, int]:
         totals = {"cycles": 0, "products": 0, "t1_tasks": 0}
-        for name, bbc, kernel, operands in cases:
-            report = simulate(kernel, bbc, create_stc("uni-stc"), cache,
-                              operands)
+        for bbc, kernel, operands in cases:
+            report = simulate_kernel(kernel, bbc, create_stc("uni-stc"),
+                                     cache=cache, **operands)
             totals["cycles"] += report.cycles
             totals["products"] += report.products
             totals["t1_tasks"] += report.t1_tasks
-            if digests is not None:
-                digests[f"{kernel}:{name}"] = report_digest(report)
         return totals
 
     # Cold passes: each repetition gets a fresh cache (else it is not
     # cold), capped at best-of-2 because the model cost dominating this
     # phase makes it the bench's least sensitive — and most expensive —
-    # number.  The last fast pass's cache provides the (cold) stats
-    # snapshot and warms the cache for the timed warm passes below.
-    # The modes are interleaved (best-of-1 calls inside the loop) so
-    # CPU frequency drift biases neither.
-    cold_repeat = min(2, max(1, repeat))
-    cold_legacy_s = cold_fast_s = float("inf")
-    totals: Dict[str, Dict[str, int]] = {}
-    legacy_digests: Dict[str, str] = {}
-    fast_digests: Dict[str, str] = {}
+    # number.  The last pass's cache provides the (cold) stats snapshot
+    # and warms the cache for the timed warm passes below.
+    cold_s = float("inf")
+    totals: Dict[str, int] = {}
     warm_cache = BlockCache()
-    for _ in range(cold_repeat):
-        legacy_digests = {}
-        cold_legacy_s = min(cold_legacy_s, _time_best(
-            lambda: totals.__setitem__(
-                "legacy",
-                sweep(legacy, BlockCache(), digests=legacy_digests)),
-            1, label="sweep_cold_legacy",
-        ))
+    for _ in range(min(2, max(1, repeat))):
         warm_cache = BlockCache()
-        fast_digests = {}
-        cold_fast_s = min(cold_fast_s, _time_best(
-            lambda: totals.__setitem__(
-                "fast",
-                sweep(fast, warm_cache, digests=fast_digests)),
-            1, label="sweep_cold_fast",
+        cold_s = min(cold_s, _time_best(
+            lambda: totals.update(sweep(warm_cache)), 1,
+            label="sweep_cold_fast",
         ))
-    legacy_totals, fast_totals = totals["legacy"], totals["fast"]
-    mismatches = sorted(
-        case for case in legacy_digests
-        if fast_digests.get(case) != legacy_digests[case]
-    )
     stats = warm_cache.stats.as_dict() | {"entries": len(warm_cache)}
-
-    warm_legacy_s = _time_best(
-        lambda: sweep(legacy, warm_cache), repeat,
-        label="sweep_warm_legacy",
-    )
-    warm_fast_s = _time_best(
-        lambda: sweep(fast, warm_cache), repeat,
-        label="sweep_warm_fast",
-    )
+    warm_s = _time_best(lambda: sweep(warm_cache), repeat,
+                        label="sweep_warm_fast")
     return {
         "cases": len(cases),
         "kernels": list(kernels),
-        "cold": {
-            "legacy_seconds": cold_legacy_s,
-            "fast_seconds": cold_fast_s,
-            "speedup": cold_legacy_s / cold_fast_s if cold_fast_s else 0.0,
-            "reports_identical": not mismatches,
-            "report_mismatches": mismatches,
-        },
-        "warm": {
-            "legacy_seconds": warm_legacy_s,
-            "fast_seconds": warm_fast_s,
-            "speedup": warm_legacy_s / warm_fast_s if warm_fast_s else 0.0,
-        },
-        "speedup": warm_legacy_s / warm_fast_s if warm_fast_s else 0.0,
-        "totals_match": legacy_totals == fast_totals,
-        "totals": fast_totals,
+        "cold": {"fast_seconds": cold_s},
+        "warm": {"fast_seconds": warm_s},
+        "totals": totals,
         "cache": stats,
     }
 
@@ -726,30 +656,18 @@ def render_summary(report: Dict[str, object]) -> str:
     lines = [
         f"encode: {enc['matrices']} matrices, {enc['total_nnz']} nnz "
         f"in {enc['seconds']:.3f}s ({enc['nnz_per_second']:.3g} nnz/s)",
-        "enumeration (legacy -> batched):",
+        "enumeration (batched, coalesce included):",
     ]
     for kernel, row in report["enumeration"].items():
         lines.append(
             f"  {kernel:7s} {row['tasks']:>9d} tasks  "
-            f"{row['legacy_seconds']:.3f}s -> {row['batched_seconds']:.3f}s  "
-            f"({row['speedup']:.1f}x)"
+            f"{row['batched_seconds']:.3f}s"
         )
-    cold, warm = sweep["cold"], sweep["warm"]
     lines.append(
-        f"corpus sweep ({sweep['cases']} cases, totals_match="
-        f"{sweep['totals_match']}, reports_identical="
-        f"{cold.get('reports_identical')}):"
-    )
-    lines.append(
-        f"  cold  {cold['legacy_seconds']:.3f}s -> {cold['fast_seconds']:.3f}s "
-        f"({cold['speedup']:.1f}x)"
-    )
-    if cold.get("report_mismatches"):
-        shown = ", ".join(cold["report_mismatches"][:5])
-        lines.append(f"  REPORT MISMATCH in: {shown}")
-    lines.append(
-        f"  warm  {warm['legacy_seconds']:.3f}s -> {warm['fast_seconds']:.3f}s "
-        f"({warm['speedup']:.1f}x)"
+        f"corpus sweep ({sweep['cases']} cases, "
+        f"{sweep['totals']['t1_tasks']} T1 tasks): "
+        f"cold {sweep['cold']['fast_seconds']:.3f}s, "
+        f"warm {sweep['warm']['fast_seconds']:.3f}s"
     )
     cache = sweep["cache"]
     lines.append(

@@ -23,7 +23,7 @@ breakdown is a pure function of ``(matrix, kernel, trials, seed)``.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,10 +33,10 @@ from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels import bbc_kernels, reference
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import TaskBatch, coalesce_raw, kernel_task_batches
 from repro.registry import create_stc
 from repro.sim import engine
-from repro.sim.engine import simulate_tasks
+from repro.sim.engine import simulate_batches
 from repro.store import ResultStore
 
 #: Every fault kind a campaign cycles through.
@@ -188,7 +188,12 @@ class FaultInjector:
     # -- task-stream faults ----------------------------------------------
 
     def corrupt_tasks(self, tasks: Sequence, kind: str) -> Tuple[list, InjectedFault]:
-        """Drop, duplicate or reorder one element of a T1 task stream."""
+        """Drop, duplicate or reorder one element of a T1 task stream.
+
+        ``tasks`` is any sequence standing for the stream's entries —
+        the campaign passes the entry indices of a
+        :class:`~repro.kernels.batched.TaskBatch`.
+        """
         tasks = list(tasks)
         if not tasks:
             raise ConfigError("cannot corrupt an empty task stream")
@@ -265,19 +270,23 @@ def classify_matrix_fault(
 
 
 def _classify_task_fault(
-    faulted_tasks: list,
-    expected_weight: int,
+    clean: TaskBatch,
+    faulted: list,
     clean_cycles: int,
     clean_products: int,
     stc,
     kernel: str,
 ) -> Tuple[str, str]:
-    got_weight = sum(t.weight for t in faulted_tasks)
+    """Verdict for ``clean`` re-issued as the entry order ``faulted``."""
+    idx = np.asarray(faulted, dtype=np.int64)
+    stream = replace(clean, a_index=clean.a_index[idx],
+                     b_index=clean.b_index[idx], weights=clean.weights[idx])
+    got_weight, expected_weight = stream.total_tasks, clean.total_tasks
     if got_weight != expected_weight:
         return "detected", (
             f"task-count accounting mismatch ({got_weight} != {expected_weight})"
         )
-    report = simulate_tasks(stc, faulted_tasks, kernel=kernel, energy_model=None)
+    report = simulate_batches(stc, [stream], kernel=kernel, energy_model=None)
     if report.cycles != clean_cycles or report.products != clean_products:
         return "sdc", "simulated totals drifted undetected"
     return "masked", "simulated totals unchanged"
@@ -351,11 +360,13 @@ def run_campaign(
     ref_output = _reference_output(clean_csr, kernel, operand)
 
     # Clean task stream + simulated totals, for the task/cache trials.
+    # Task faults drop, duplicate or shuffle the batch's entries by index.
     stc = create_stc("uni-stc")
-    clean_tasks = list(kernel_tasks(kernel, clean_bbc))
-    expected_weight = sum(t.weight for t in clean_tasks)
-    clean_report = simulate_tasks(stc, clean_tasks, kernel=kernel, energy_model=None)
-    cache_keys = sorted({(stc.cache_key(),) + t.cache_key() for t in clean_tasks})
+    (clean,) = kernel_task_batches(kernel, clean_bbc)
+    clean_report = simulate_batches(stc, [clean], kernel=kernel, energy_model=None)
+    raw = coalesce_raw(clean)
+    cache_keys = sorted((stc.cache_key(), raw.a_bytes[ai], raw.b_bytes[bi])
+                        for ai, bi, _ in raw.pairs)
     warm = np.stack([engine.get_cache()[key] for key in cache_keys])
 
     report = CampaignReport(matrix=matrix_name, kernel=kernel, seed=seed)
@@ -365,17 +376,17 @@ def run_campaign(
             corrupt, fault = injector.inject_matrix(clean_bbc, kind)
             outcome, detail = classify_matrix_fault(corrupt, ref_output, kernel, operand)
         elif kind in ("task_drop", "task_dup", "task_reorder"):
-            faulted, fault = injector.corrupt_tasks(clean_tasks, kind)
+            faulted, fault = injector.corrupt_tasks(range(len(clean)), kind)
             outcome, detail = _classify_task_fault(
-                faulted, expected_weight, clean_report.cycles,
+                clean, faulted, clean_report.cycles,
                 clean_report.products, stc, kernel,
             )
         elif kind == "cache_result":
             key = cache_keys[int(rng.integers(len(cache_keys)))]
             original, fault = injector.corrupt_cached_result(key)
             try:
-                poisoned = simulate_tasks(
-                    stc, clean_tasks, kernel=kernel, energy_model=None
+                poisoned = simulate_batches(
+                    stc, [clean], kernel=kernel, energy_model=None
                 )
                 if poisoned.cycles != clean_report.cycles:
                     outcome, detail = "sdc", "poisoned cache shifted reported cycles"

@@ -19,11 +19,11 @@ every core of ``simulate_parallel``; a bound
 across processes.
 
 Kernels enumerate *batched*: tasks are built as array-of-bitmap-pairs
-(:mod:`repro.kernels.batched`), coalesced so each distinct pattern
-pair is simulated once, and aggregated with their combined weight.
-:func:`simulate_tasks` runs an explicit per-object T1 stream (e.g.
-:func:`repro.kernels.taskstream.kernel_tasks`) — the reference the
-batched path is tested against, with identical totals.
+(:class:`~repro.kernels.batched.TaskBatch`), coalesced so each distinct
+pattern pair is simulated once, and aggregated with their combined
+weight.  :func:`simulate_batches` is the one route from a task stream
+to a report; the test suite steps the same stream through
+``simulate_block`` one task at a time and asserts identical digests.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.sim.results import SimReport
 
 #: The process-wide memo.  Kept under its historic name because the
 #: fault-injection campaign addresses it via the mapping protocol; the
-#: engine itself uses the stats-aware ``lookup``/``insert`` API.
+#: engine itself uses the stats-aware ``lookup_many``/``insert_many`` API.
 _BLOCK_CACHE = BlockCache()
 
 
@@ -121,41 +121,6 @@ def cache_stats() -> CacheStats:
     return _BLOCK_CACHE.stats
 
 
-def simulate_tasks(
-    stc: STCModel,
-    tasks: Iterable[T1Task],
-    kernel: str = "custom",
-    energy_model: Optional[EnergyModel] = DEFAULT_MODEL,
-    matrix: Optional[str] = None,
-    cache: Optional[BlockCache] = None,
-) -> SimReport:
-    """Run an explicit T1 task stream on one STC model.
-
-    ``cache`` overrides the process-wide memo (used by tests that need
-    isolated caches and by ablations that compare cache policies).
-    """
-    memo = _BLOCK_CACHE if cache is None else cache
-    report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
-    namespace = stc.cache_key()
-    stats_before = memo.stats.snapshot()
-    t0 = perf_counter()
-    rows = []
-    weights = []
-    for task in tasks:
-        key = (namespace,) + task.cache_key()
-        row = memo.lookup(key)
-        if row is None:
-            row = result_rows([stc.simulate_block(task)])[0]
-            memo.insert(key, row)
-        rows.append(row)
-        weights.append(task.weight)
-    if rows:
-        _aggregate(report, np.stack(rows), weights)
-    _price(report, stc, energy_model)
-    _finalise_run(report, memo, stats_before, perf_counter() - t0)
-    return report
-
-
 def simulate_batches(
     stc: STCModel,
     batches: Iterable[TaskBatch],
@@ -175,8 +140,8 @@ def simulate_batches(
     :meth:`BlockCache.insert_many`.  Aggregation is a single weighted
     matrix product over the action rows, carried in int64 so
     corpus-scale totals stay exact (falling back to float64 only for
-    models whose counters are genuinely fractional) — totals equal the
-    per-task reference path exactly.
+    models whose counters are genuinely fractional) — totals equal a
+    per-task stepped run exactly.
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)

@@ -93,6 +93,28 @@ class TestUWMMAProgram:
         validate_program(result)
         assert result.t1_tasks >= 1
 
+    @pytest.mark.parametrize("kernel,operands,pinned", [
+        ("spmv", {}, (404, 166, 2, 59)),
+        ("spmspv", {"x": "random"}, (393, 155, 2, 59)),
+        ("spmm", {}, (3847, 2896, 7, 236)),
+        ("spmm", {"b_cols": 40}, (2544, 1834, 2, 177)),
+        ("spgemm", {}, (1960, 858, 2, 275)),
+    ])
+    def test_pinned_program_totals(self, kernel, operands, pinned):
+        """(sm, numeric, stall cycles, T1 tasks), pinned before the
+        program moved onto task batches.  Stalls depend on issue order:
+        SpMM with a tail panel must issue each block's full panels and
+        tail back to back."""
+        a = BBCMatrix.from_coo(banded(200, 20, 0.3, seed=1))
+        if operands.get("x") == "random":
+            rng = np.random.default_rng(0)
+            dense = rng.random(a.shape[1]) * (rng.random(a.shape[1]) < 0.5)
+            operands = {"x": SparseVector.from_dense(dense)}
+        result = compile_kernel(kernel, a, **operands)
+        validate_program(result)
+        assert (result.sm_cycles, result.numeric_cycles,
+                result.stall_cycles, result.t1_tasks) == pinned
+
     def test_validate_rejects_malformed(self):
         from repro.arch.program import ExecutedInstruction, ProgramResult
 
@@ -112,10 +134,10 @@ class TestLoadBalancing:
         assert work.sum() == bbc.nnz  # spmv work = nonzeros
 
     def test_spgemm_work_counts_block_pairs(self, bbc):
-        from repro.kernels.taskstream import spgemm_tasks
+        from repro.kernels.batched import spgemm_batch
 
         work = block_row_work(bbc, "spgemm")
-        assert work.sum() == len(list(spgemm_tasks(bbc, bbc)))
+        assert work.sum() == spgemm_batch(bbc, bbc).total_tasks
 
     def test_partition_covers_everything(self):
         work = np.array([5, 1, 9, 2, 2, 7, 1, 3])

@@ -1,10 +1,11 @@
 """Batched task enumeration: parity with the per-object generators.
 
-The batched builders (:mod:`repro.kernels.batched`) and the classic
-generators (:mod:`repro.kernels.taskstream`) must describe the *same*
-task stream — these tests pin that down task-for-task, through the
-engine (full ``SimReport`` equality), and across the serial/parallel
-split (a partitioned stream concatenates back to the serial one).
+The batched builders (:mod:`repro.kernels.batched`) and the per-object
+generators kept in :mod:`tests.oracles` must describe the *same* task
+stream — these tests pin that down task-for-task, through the engine
+(the stepped route against ``simulate_kernel``, full ``SimReport``
+equality), and across the serial/parallel split (a partitioned stream
+concatenates back to the serial one).
 """
 
 import numpy as np
@@ -16,20 +17,31 @@ from repro.formats.bbc import BBCMatrix
 from repro.kernels import KERNELS
 from repro.kernels.batched import (
     TaskBatch,
-    coalesce,
     coalesce_raw,
     kernel_task_batches,
     spgemm_batch,
     spmm_batch,
     spmv_batch,
 )
-from repro.kernels.taskstream import kernel_tasks
 from repro.kernels.vector import SparseVector
+from repro.perf.bench import _operands_for, report_digest
 from repro.registry import create_stc
 from repro.sim.blockcache import BlockCache
-from repro.sim.engine import simulate_kernel, simulate_tasks
+from repro.sim.engine import simulate_kernel
 from repro.sim.parallel import block_row_work, partition_block_rows
 from repro.workloads import synthetic
+from repro.workloads.suitesparse import corpus
+
+from tests.oracles import batch_tasks, kernel_tasks, simulate_tasks
+
+
+@pytest.fixture(scope="module")
+def smoke_cases():
+    """The ``repro bench --smoke`` cases: 4 corpus matrices x 4 kernels."""
+    mats = [(spec.name, BBCMatrix.from_coo(spec.matrix()))
+            for spec in corpus(sizes=(128,), limit=4)]
+    return [(name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
+            for i, (name, bbc) in enumerate(mats) for kernel in KERNELS]
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +86,7 @@ class TestStreamParity:
             reference = _task_multiset(kernel_tasks(kernel, a, **operands))
             batched = {}
             for batch in kernel_task_batches(kernel, a, **operands):
-                for key, weight in _task_multiset(batch.iter_tasks()).items():
+                for key, weight in _task_multiset(batch_tasks(batch)).items():
                     batched[key] = batched.get(key, 0) + weight
             assert batched == reference, f"{kernel} stream differs on {name}"
 
@@ -83,10 +95,15 @@ class TestStreamParity:
         for a in matrices.values():
             operands = _operands(kernel, a)
             for batch in kernel_task_batches(kernel, a, **operands):
-                tasks, weights = coalesce(batch)
-                assert sum(t.weight for t in tasks) == batch.total_tasks
-                assert len({t.cache_key() for t in tasks}) == len(tasks)
-                assert weights.sum() == batch.total_tasks
+                raw = coalesce_raw(batch)
+                pairs = [(raw.a_bytes[ai], raw.b_bytes[bi])
+                         for ai, bi, _ in raw.pairs]
+                assert len(set(pairs)) == len(pairs)
+                assert sum(w for _, _, w in raw.pairs) == batch.total_tasks
+                assert _task_multiset(batch_tasks(batch)) == {
+                    (a_bits, b_bits, batch.n): w
+                    for (a_bits, b_bits), (_, _, w) in zip(pairs, raw.pairs)
+                }
 
     def test_coalesce_raw_weights_exact_past_2_53(self):
         """Aggregate weights stay in the integer domain.
@@ -144,7 +161,7 @@ class TestStreamParity:
             )
             for rows in partition_block_rows(work, 4):
                 for batch in kernel_task_batches(kernel, a, rows=rows, **operands):
-                    for key, w in _task_multiset(batch.iter_tasks()).items():
+                    for key, w in _task_multiset(batch_tasks(batch)).items():
                         combined[key] = combined.get(key, 0) + w
             assert combined == reference
 
@@ -195,6 +212,42 @@ class TestEngineParity:
             assert fast.counters.as_dict() == legacy.counters.as_dict()
             assert fast.energy_breakdown == legacy.energy_breakdown
             assert fast.energy_pj == legacy.energy_pj
+
+    @pytest.mark.parametrize("stc", ["uni-stc", "ds-stc", "rm-stc"])
+    def test_smoke_cases_digest_identical(self, smoke_cases, stc):
+        """Per-case ``report_digest`` identity, stepped route vs
+        ``simulate_kernel``, on the exact ``repro bench --smoke`` cases."""
+        for name, bbc, kernel, operands in smoke_cases:
+            stepped = simulate_tasks(
+                create_stc(stc), kernel_tasks(kernel, bbc, **operands),
+                kernel=kernel, cache=BlockCache(),
+            )
+            fast = simulate_kernel(kernel, bbc, create_stc(stc),
+                                   cache=BlockCache(), **operands)
+            assert report_digest(fast) == report_digest(stepped), \
+                f"{stc} {kernel}:{name}"
+
+    @pytest.mark.parametrize("stc", ["uni-stc", "ds-stc", "rm-stc"])
+    def test_smoke_cases_never_step_a_block(self, smoke_cases, stc,
+                                            monkeypatch):
+        """Routing gate: ``simulate_kernel`` resolves every block of the
+        smoke cases through ``simulate_blocks`` — zero ``simulate_block``
+        calls — while still simulating each of the 1,938 distinct
+        blocks."""
+        model = create_stc(stc)
+        calls = []
+        step = type(model).simulate_block
+
+        def counting(self, task):
+            calls.append(task)
+            return step(self, task)
+
+        monkeypatch.setattr(type(model), "simulate_block", counting)
+        cache = BlockCache()
+        for _, bbc, kernel, operands in smoke_cases:
+            simulate_kernel(kernel, bbc, model, cache=cache, **operands)
+        assert len(calls) == 0
+        assert len(cache) == 1938
 
     def test_empty_matrix_all_kernels(self):
         empty = BBCMatrix.from_coo(synthetic.random_uniform(64, 64, 0.0, seed=1))

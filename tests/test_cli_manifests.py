@@ -78,6 +78,22 @@ def test_bench(tmp_path, capsys):
     _run(tmp_path, ["bench", "--smoke", "--repeat", "1"])
 
 
+@pytest.mark.parametrize("broken", ["store", "infer"])
+def test_bench_digest_mismatch_exits_1(tmp_path, capsys, monkeypatch, broken):
+    """A diverging store replay or inference replay fails the run."""
+    report = {
+        "store": {"reports_identical": broken != "store",
+                  "report_mismatches": ["spmv:m0"] if broken == "store" else []},
+        "infer": {"model_digest": "a" * 64,
+                  "store": {"model_digest": ("b" if broken == "infer" else "a") * 64}},
+    }
+    monkeypatch.setattr("repro.perf.bench.run_bench", lambda **_: report)
+    monkeypatch.setattr("repro.perf.bench.render_summary", lambda _: "")
+    manifest = _run(tmp_path, ["bench", "--smoke"], expect=1)
+    assert manifest["status"] == "error"
+    assert "error:" in capsys.readouterr().err
+
+
 def test_dse(tmp_path, capsys):
     space = tmp_path / "space.json"
     space.write_text(json.dumps({"config": {"num_dpgs": [4, 8]},

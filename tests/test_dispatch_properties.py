@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.config import UniSTCConfig
 from repro.arch.tms import ORDERINGS, TileMultiplyScheduler
 from repro.arch.unistc import UniSTC
-from repro.sim.engine import clear_cache, simulate_tasks
+from repro.sim.engine import clear_cache
 
 from tests.conftest import make_block_task
+from tests.oracles import simulate_tasks
 
 
 @st.composite

@@ -8,15 +8,14 @@ from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC
 from repro.errors import SimulationError
-from repro.kernels.batched import TaskBatch
-from repro.kernels.taskstream import spgemm_tasks
+from repro.kernels.batched import TaskBatch, spgemm_batch
 from repro.kernels.vector import SparseVector
 from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.results import ComparisonRow, SimReport, compare, geomean
 from repro.store import ResultStore
 
-from tests.conftest import make_block_task
+from tests.oracles import batch_tasks, simulate_tasks
 
 
 class TestMemoisation:
@@ -44,24 +43,23 @@ class TestMemoisation:
 
 class TestSimulateTasks:
     def test_weights_scale_linearly(self, uni):
-        base = make_block_task(0.3, 0.3, 1)
-        heavy = T1Task(base.a_bits, base.b_bits, n=base.n, weight=3)
         engine.clear_cache()
-        r1 = engine.simulate_tasks(uni, [base])
+        r1 = engine.simulate_batches(uni, [_single_pair_batch([1])])
         engine.clear_cache()
-        r3 = engine.simulate_tasks(uni, [heavy])
+        r3 = engine.simulate_batches(uni, [_single_pair_batch([3])])
         assert r3.cycles == 3 * r1.cycles
         assert r3.products == 3 * r1.products
         assert r3.energy_pj == pytest.approx(3 * r1.energy_pj)
         assert r3.t1_tasks == 3
 
     def test_empty_stream(self, uni):
-        report = engine.simulate_tasks(uni, [])
+        report = engine.simulate_batches(uni, [])
         assert report.cycles == 0
         assert report.t1_tasks == 0
 
     def test_no_energy_model(self, uni):
-        report = engine.simulate_tasks(uni, [make_block_task(0.3, 0.3, 2)], energy_model=None)
+        report = engine.simulate_batches(uni, [_single_pair_batch([1])],
+                                         energy_model=None)
         assert report.energy_pj == 0.0
         assert report.energy_breakdown == {}
 
@@ -69,7 +67,7 @@ class TestSimulateTasks:
 class TestSimulateKernel:
     def test_spgemm_task_totals(self, banded_bbc, uni):
         report = engine.simulate_kernel("spgemm", banded_bbc, uni)
-        tasks = list(spgemm_tasks(banded_bbc, banded_bbc))
+        tasks = list(batch_tasks(spgemm_batch(banded_bbc, banded_bbc)))
         assert report.t1_tasks == len(tasks)
         assert report.products == sum(t.intermediate_products() for t in tasks)
 
@@ -143,7 +141,7 @@ class TestBatchedAggregation:
         batch = _single_pair_batch([2, 3])  # coalesces to one pair, weight 5
         report = engine.simulate_batches(stc, [batch], cache=cache, energy_model=None)
         assert len(cache) == 1
-        (task,) = {t.cache_key(): t for t in batch.iter_tasks()}.values()
+        (task,) = {t.cache_key(): t for t in batch_tasks(batch)}.values()
         cached = cache[(stc.cache_key(),) + task.cache_key()]
         assert cached[0] == 10 and cached[1] == 1
         assert report.cycles == 50 and report.products == 5
@@ -153,9 +151,9 @@ class TestBatchedAggregation:
         # five unit-weight tasks (weights exist only as a compression).
         expanded = [
             T1Task(task.a_bits, task.b_bits, n=task.n, weight=1)
-            for task in batch.iter_tasks() for _ in range(task.weight)
+            for task in batch_tasks(batch) for _ in range(task.weight)
         ]
-        reference = engine.simulate_tasks(
+        reference = simulate_tasks(
             stc, expanded, cache=BlockCache(), energy_model=None
         )
         assert report.cycles == reference.cycles
@@ -168,7 +166,7 @@ class TestBatchedAggregation:
         batch = _single_pair_batch([weight])
         stc = UniSTC()
         report = engine.simulate_batches(stc, [batch], cache=BlockCache())
-        block = stc.simulate_block(next(iter(batch.iter_tasks())))
+        block = stc.simulate_block(next(iter(batch_tasks(batch))))
         assert block.products % 2 == 1  # odd, so the product below is odd
         exact = block.products * weight  # python ints: exact
         assert float(exact) != exact  # float64 could not have held this
@@ -183,7 +181,7 @@ class TestBatchedAggregation:
     def test_batched_totals_equal_per_task_reference(self, uni):
         batch = _single_pair_batch([1, 4, 2])
         fast = engine.simulate_batches(uni, [batch], cache=BlockCache())
-        slow = engine.simulate_tasks(uni, batch.iter_tasks(), cache=BlockCache())
+        slow = simulate_tasks(uni, batch_tasks(batch), cache=BlockCache())
         assert fast.cycles == slow.cycles
         assert fast.products == slow.products
         assert fast.t1_tasks == slow.t1_tasks

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,14 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import coalesce_raw, kernel_task_batches
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
     run_campaign,
 )
 from repro.sim import engine
+from repro.registry.workloads import parse_matrix_spec
 from repro.store import ResultStore
 from repro.workloads.suitesparse import corpus, iter_matrices
 from repro.workloads.synthetic import banded, random_uniform
@@ -142,6 +145,19 @@ class TestCampaign:
         assert [(t.fault.kind, t.fault.site, t.outcome) for t in a.trials] == \
                [(t.fault.kind, t.fault.site, t.outcome) for t in b.trials]
 
+    @pytest.mark.parametrize("kernel", ["spmv", "spmm"])
+    def test_trials_pinned(self, kernel):
+        """The full (kind, site, outcome, detail) trial list over every
+        fault kind, pinned before the campaign moved onto task batches."""
+        pinned = json.loads(
+            (Path(__file__).parent / "data" / "fault_campaign_trials.json")
+            .read_text())[kernel]
+        campaign = run_campaign(parse_matrix_spec("band:96:12:0.4"),
+                                kernel=kernel, trials=22, seed=3)
+        assert [[t.fault.kind, t.fault.site, t.outcome, t.detail]
+                for t in campaign.trials] == pinned
+        assert {kind for kind, *_ in pinned} == set(FAULT_KINDS)
+
     def test_outcome_structure(self):
         campaign = run_campaign(banded(64, 8, 0.5, seed=1), trials=11, seed=0)
         assert len(campaign.trials) == 11
@@ -204,8 +220,10 @@ class TestCampaign:
             # so the campaign's clean pass is served from memory.
             run_campaign(coo, trials=1, seed=7, kinds=("task_reorder",))
             cache = engine.get_cache()
-            keys = sorted({(UniSTC().cache_key(),) + t.cache_key()
-                           for t in kernel_tasks("spmv", BBCMatrix.from_coo(coo))})
+            (batch,) = kernel_task_batches("spmv", BBCMatrix.from_coo(coo))
+            raw = coalesce_raw(batch)
+            keys = sorted((UniSTC().cache_key(), raw.a_bytes[ai], raw.b_bytes[bi])
+                          for ai, bi, _ in raw.pairs)
             entries = {key: cache[key] for key in keys}
             assert len(cache) == len(entries)
             segments = {p.name: p.read_bytes() for p in bound.segment_dir.iterdir()}

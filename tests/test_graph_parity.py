@@ -9,14 +9,16 @@ host wall time and cache attribution).
 
 import pytest
 
-from repro.apps.dnn import simulate_inference, simulate_inference_legacy
-from repro.apps.gnn import simulate_propagation, simulate_propagation_legacy
+from repro.apps.dnn import simulate_inference
+from repro.apps.gnn import simulate_propagation
 from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, RmSTC
 from repro.formats import CSRMatrix
 from repro.perf.bench import report_digest
 from repro.workloads.synthetic import random_uniform
+
+from tests.oracles import simulate_inference_legacy, simulate_propagation_legacy
 
 STCS = {
     "uni-stc": lambda: UniSTC(UniSTCConfig(precision=FP32)),

@@ -8,10 +8,10 @@ from repro import obs
 from repro.arch.unistc import UniSTC
 from repro.cli import main
 from repro.errors import SimulationError
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import kernel_task_batches
 from repro.resilience.runner import ResilientRunner, RetryPolicy
 from repro.sim.blockcache import BlockCache, CacheStats
-from repro.sim.engine import simulate_kernel, simulate_tasks
+from repro.sim.engine import simulate_batches, simulate_kernel
 from repro.sim.parallel import simulate_parallel
 from repro.sim.sweep import ROW_COLUMNS, Sweep, rows_from_results
 from repro.workloads.synthetic import banded
@@ -72,8 +72,9 @@ class TestPerRunReportFields:
         assert second.cache_hit_rate == pytest.approx(1.0)
 
     def test_legacy_path_also_tracked(self, banded_bbc, uni):
-        report = simulate_tasks(uni, kernel_tasks("spmv", banded_bbc),
-                                kernel="spmv", cache=BlockCache())
+        """The explicit-batch route reports per-run fields too."""
+        report = simulate_batches(uni, kernel_task_batches("spmv", banded_bbc),
+                                  kernel="spmv", cache=BlockCache())
         assert report.wall_s > 0 and report.cache["inserts"] > 0
 
     def test_parallel_report_wall(self, banded_bbc):

@@ -152,7 +152,9 @@ class TestSimulatorStability:
     @pytest.mark.parametrize("density", [0.05, 0.2, 0.5, 1.0])
     def test_task_weight_equivalence(self, density):
         """One weighted task equals repeating the unweighted task."""
-        from repro.sim.engine import clear_cache, simulate_tasks
+        from repro.sim.engine import clear_cache
+
+        from tests.oracles import simulate_tasks
 
         base = make_block_task(density, density, 3)
         repeated = [base] * 5

@@ -9,6 +9,8 @@ from repro.workloads import representative, suitesparse, synthetic
 from repro.workloads.dlmc import SPARSITIES, dlmc_corpus, pruned_weight
 from repro.workloads.dnn import RESNET50_LAYERS, TRANSFORMER_LAYERS, resnet50_layers
 
+from tests.oracles import mean_products_per_task as oracle_mean_products
+
 
 class TestSynthetic:
     def test_random_uniform_density(self):
@@ -130,6 +132,14 @@ class TestRepresentative:
     def test_uncalibrated_build(self):
         m = representative.build_matrix("consph", n=128, calibrate=False)
         assert m.nnz > 0
+
+
+def test_mean_products_match_the_task_loop():
+    """The closed form equals the per-task loop on all eight stand-ins."""
+    for name, coo in representative.representative_matrices().items():
+        bbc = BBCMatrix.from_coo(coo)
+        assert representative.mean_products_per_task(bbc) \
+            == oracle_mean_products(bbc), name
 
 
 class TestDLMC:
