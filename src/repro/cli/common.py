@@ -63,7 +63,7 @@ def add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 def add_resilience_flags(parser: argparse.ArgumentParser,
                          unit: str = "case") -> None:
-    """Attach the fault-tolerance flags (checkpoint/resume/timeout)."""
+    """Attach the fault-tolerance flags (checkpoint/resume/retries/store)."""
     parser.add_argument(
         "--checkpoint", default="",
         help=f"JSONL journal path; finished {unit}s are appended as "
@@ -72,10 +72,6 @@ def add_resilience_flags(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--resume", action="store_true",
         help="continue from --checkpoint, skipping journaled successes",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=0.0,
-        help=f"per-{unit} wall-clock budget in seconds (0 = unlimited)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=1,
@@ -97,9 +93,11 @@ def add_exec_flags(parser: argparse.ArgumentParser) -> None:
              "subprocesses (0 = run in-process; results are identical)",
     )
     parser.add_argument(
-        "--shard-timeout", type=float, default=0.0, metavar="S",
-        help="per-shard wall-clock deadline; an overrunning worker is "
-             "killed (SIGTERM, then SIGKILL) and the shard retried "
+        "--timeout", type=float, default=0.0, metavar="S",
+        help="per-case deadline in seconds, enforced by killing the "
+             "worker process (SIGTERM, then SIGKILL); a case killed more "
+             "than --max-retries times is journaled as a timeout failure. "
+             "Needs a worker, so with --workers 0 it runs on one "
              "(0 = unlimited)",
     )
     parser.add_argument(
@@ -129,7 +127,7 @@ def exec_policy(args: argparse.Namespace) -> ExecPolicy:
     """Fold the exec flag pack into an :class:`ExecPolicy`."""
     return ExecPolicy(
         workers=getattr(args, "workers", 0),
-        shard_timeout_s=getattr(args, "shard_timeout", 0.0),
+        timeout_s=getattr(args, "timeout", 0.0),
         max_shard_retries=getattr(args, "shard_retries", 2),
         heartbeat_interval_s=getattr(args, "heartbeat_interval", 1.0),
     )
@@ -170,7 +168,6 @@ def make_spec(
         ),
         cache=CachePolicy(store_dir=getattr(args, "store", "")),
         resilience=ResiliencePolicy(
-            timeout_s=getattr(args, "timeout", 0.0),
             max_retries=getattr(args, "max_retries", 1),
             checkpoint=getattr(args, "checkpoint", ""),
             resume=getattr(args, "resume", False),

@@ -26,10 +26,13 @@ def cmd_corpus(args: argparse.Namespace, session: Session) -> int:
     Runs through the fault-tolerant campaign executor: a failing case
     is journaled and skipped rather than aborting the sweep,
     ``--checkpoint`` + ``--resume`` continue an interrupted run without
-    re-simulating finished cases, ``--timeout``/``--max-retries`` bound
-    each case, and ``--workers N`` shards the sweep across supervised
-    subprocesses (crash-isolated, hard-kill deadlines) with results
-    identical to the in-process run.
+    re-simulating finished cases, ``--max-retries`` bounds each case's
+    retries, and ``--workers N`` shards the sweep across supervised,
+    crash-isolated subprocesses with results identical to the
+    in-process run.  ``--timeout S`` is a per-case deadline the
+    supervisor enforces by killing the worker; a case killed more than
+    ``--max-retries`` times is journaled as a ``timeout`` failure.
+    Without ``--workers`` it runs the sweep on one supervised worker.
     """
     from repro.sim.results import compare
     from repro.workloads.suitesparse import corpus
@@ -45,7 +48,8 @@ def cmd_corpus(args: argparse.Namespace, session: Session) -> int:
     kernels = split_csv(args.kernel)
     executor = session.executor(matrices, names, kernels)
     checkpoint = session.spec.resilience.checkpoint
-    if session.spec.exec.workers and checkpoint and session.spec.obs.telemetry:
+    if session.spec.exec.distributed and checkpoint \
+            and session.spec.obs.telemetry:
         print(f"live status: repro top {checkpoint}", file=sys.stderr)
     summary = executor.run()
 

@@ -61,12 +61,11 @@ def cmd_dse(args: argparse.Namespace, session: Session) -> int:
         journal_path=res.checkpoint or None,
         resume=res.resume,
         store_path=session.spec.cache.store_dir or None,
-        timeout_s=res.timeout,
         max_retries=res.max_retries,
         exec_policy=session.spec.exec,
         telemetry=session.spec.obs.telemetry,
     )
-    if session.spec.exec.workers and res.checkpoint \
+    if session.spec.exec.distributed and res.checkpoint \
             and session.spec.obs.telemetry:
         print(f"live status: repro top {res.checkpoint}", file=sys.stderr)
     result = campaign.run()

@@ -4,9 +4,10 @@ Not meant for humans: ``repro worker --spec FILE`` is the command line
 the :class:`~repro.exec.CampaignExecutor` supervisor spawns per shard.
 It reads a self-describing :class:`~repro.exec.ShardSpec`, runs the
 shard through the resilient runner (resuming from the shard's own
-journal if the process is a respawn), and reports through the exit
-codes documented in :mod:`repro.exec.worker` (0 complete, 2 error,
-3 recycle-me).
+journal if the process is a respawn), stamps each case attempt into
+its heartbeat file so the supervisor can enforce ``--timeout`` by
+killing it, and reports through the exit codes documented in
+:mod:`repro.exec.worker` (0 complete, 2 error).
 """
 
 from __future__ import annotations

@@ -199,9 +199,9 @@ class Campaign:
     resume: bool = False
     #: Shared content-addressed result store (see :mod:`repro.store`).
     store_path: Optional[Union[str, Path]] = None
-    timeout_s: Optional[float] = None
     max_retries: int = 1
-    #: Multi-process batch execution (``None``/``workers=0`` = in-process).
+    #: Multi-process batch execution and the per-case deadline
+    #: (``None``, or ``workers=0`` without a deadline = in-process).
     exec_policy: Optional[object] = None
     #: Stream per-shard telemetry from distributed batches.
     telemetry: bool = True
@@ -215,7 +215,6 @@ class Campaign:
             journal_path=self.journal_path,
             resume=self.resume,
             store_path=self.store_path,
-            timeout_s=self.timeout_s,
             max_retries=self.max_retries,
             exec_policy=self.exec_policy,
             telemetry=self.telemetry,

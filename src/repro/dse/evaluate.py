@@ -37,7 +37,6 @@ per-workload behaviour.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -56,7 +55,6 @@ from repro.sim import engine
 from repro.sim.parallel import ParallelReport, simulate_parallel
 from repro.sim.results import SimReport
 from repro.sim.sweep import Sweep, SweepCase, SweepResult
-from repro.store import ResultStore
 
 BASELINE_STC = "ds-stc"
 
@@ -195,11 +193,11 @@ class CachedEvaluator:
     #: bound for in-process batches and carried into distributed
     #: shards, so repeated campaigns replay block results warm.
     store_path: Optional[Union[str, Path]] = None
-    timeout_s: Optional[float] = None
     max_retries: int = 1
-    #: Multi-process execution envelope; ``None`` (or ``workers=0``)
-    #: keeps batches in-process.  Distributed batches run each case
-    #: serially inside its worker, so ``n_cores`` is ignored there.
+    #: Multi-process execution envelope; ``None`` (or ``workers=0``
+    #: without a per-case deadline) keeps batches in-process.
+    #: Distributed batches run each case serially inside its worker, so
+    #: ``n_cores`` is ignored there.
     exec_policy: Optional[ExecPolicy] = None
     #: Stream per-shard telemetry from distributed batches (live
     #: ``status.json`` in the batch workdir, ``repro top`` support).
@@ -217,28 +215,6 @@ class CachedEvaluator:
         self.n_simulated = 0
         self.n_resumed = 0
         self.n_failed = 0
-
-    @contextmanager
-    def _store_binding(self):
-        """Bind ``store_path`` for one in-process batch.
-
-        No-op when unset or when the caller (a session) already bound
-        the same store process-wide.
-        """
-        if self.store_path is None:
-            yield None
-            return
-        root = Path(str(self.store_path))
-        bound = engine.bound_store()
-        if bound is not None and Path(bound.root) == root:
-            yield bound
-            return
-        store = ResultStore(root)
-        try:
-            with engine.store_tier(store):
-                yield store
-        finally:
-            store.close()
 
     # -- sweep-state plumbing --------------------------------------------
 
@@ -307,7 +283,7 @@ class CachedEvaluator:
         distributed = (self.exec_policy is not None
                        and self.exec_policy.distributed)
         with obs.span("dse.batch", cases=len(cases),
-                      workers=self.exec_policy.workers if distributed else 0):
+                      workers=self.exec_policy.pool_size if distributed else 0):
             if distributed:
                 # DSE matrix names ARE registry specs, so shards carry
                 # them verbatim; worker journals merge back into the
@@ -322,7 +298,6 @@ class CachedEvaluator:
                     journal_path=self.journal_path,
                     resume=self._resume_next,
                     fingerprint=self.fingerprint,
-                    timeout_s=self.timeout_s or 0.0,
                     max_retries=self.max_retries,
                     store_path=self.store_path,
                     policy=self.exec_policy,
@@ -333,13 +308,12 @@ class CachedEvaluator:
                 self._sweep.case_list = cases
                 runner = ResilientRunner(
                     self._sweep,
-                    timeout_s=self.timeout_s,
                     retry=RetryPolicy(max_retries=self.max_retries),
                     journal_path=self.journal_path,
                     resume=self._resume_next,
                     fingerprint=self.fingerprint,
                 )
-                with self._store_binding():
+                with engine.store_dir_tier(self.store_path):
                     summary = runner.run()
         if self.journal_path is not None:
             # Later batches must append to the journal just written.

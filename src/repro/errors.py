@@ -31,7 +31,7 @@ class ConvergenceError(ReproError):
 
 
 class CaseTimeoutError(ReproError):
-    """A sweep case exceeded its wall-clock budget."""
+    """A sweep case overran its deadline and the supervisor killed its worker."""
 
 
 class DataCorruptionError(ReproError):
@@ -40,16 +40,6 @@ class DataCorruptionError(ReproError):
 
 class CheckpointError(ReproError):
     """A checkpoint journal is unreadable or inconsistent with its sweep."""
-
-
-class ThreadLeakError(ReproError):
-    """Too many timed-out case threads have been abandoned in-process.
-
-    Python cannot kill a runaway thread, so each in-thread timeout
-    leaks one zombie thread.  Past the configured cap the process is no
-    longer trustworthy and must fail fast (a supervised worker exits
-    and is restarted; its leaked threads die with the process).
-    """
 
 
 class WorkerCrashError(ReproError):

@@ -3,16 +3,20 @@
 The job-queue executor layered on the RunSpec/Session runtime.  A
 campaign (a corpus sweep or a DSE batch) is sharded into
 self-describing :class:`ShardSpec` files, dispatched to a pool of
-``repro worker`` subprocesses, and supervised with heartbeats,
-wall-clock deadlines enforced by real process kills, bounded crash
-retry, and poison-shard bisection down to the single offending case.
+``repro worker`` subprocesses, and supervised with heartbeats, bounded
+crash retry, poison-shard bisection down to the single offending
+case, and the campaign's one timeout mechanism: a per-case deadline
+(``ExecPolicy.timeout_s``, the ``--timeout`` flag) enforced by killing
+the worker process.
 Per-worker checkpoint journals and obs metric snapshots merge back
 deterministically, preserving the runner's zero-re-simulation resume
 and the campaign's byte-deterministic artifacts.
 
 ``ExecPolicy(workers=0)`` — the default — degrades to the plain
 in-process :class:`~repro.resilience.runner.ResilientRunner` path
-with identical results.  See ``docs/robustness.md``.
+with identical results; a deadline alone (``workers=0, timeout_s>0``)
+runs the campaign on one supervised worker.  See
+``docs/robustness.md``.
 """
 
 from repro.exec.journal import (
@@ -32,7 +36,6 @@ from repro.exec.supervisor import CampaignExecutor, ExecPolicy
 from repro.exec.worker import (
     EXIT_ERROR,
     EXIT_OK,
-    EXIT_RECYCLE,
     Heartbeat,
     run_shard,
     worker_main,
@@ -43,7 +46,6 @@ __all__ = [
     "CaseListSweep",
     "EXIT_ERROR",
     "EXIT_OK",
-    "EXIT_RECYCLE",
     "ExecPolicy",
     "Heartbeat",
     "MergeStats",

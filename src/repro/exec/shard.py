@@ -27,7 +27,7 @@ from repro.registry import canonical_stc_name, stc_factory
 from repro.sim.sweep import Sweep, SweepCase
 
 #: Shard spec schema; bumped on incompatible layout changes.
-SHARD_SCHEMA = 1
+SHARD_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,10 @@ class StcDef:
 class CaseListSweep(Sweep):
     """A sweep over an explicit case list instead of the full grid.
 
-    ``pre_case`` is an injectable hook called before each case runs —
-    the worker's chaos-injection point (see
-    :mod:`repro.exec.worker`); it defaults to a no-op.
+    ``pre_case`` is an injectable hook called before each case attempt
+    — where the worker stamps its heartbeat with the in-flight case and
+    injects chaos (see :mod:`repro.exec.worker`); it defaults to a
+    no-op.
     """
 
     case_list: List[SweepCase] = field(default_factory=list)
@@ -107,9 +108,7 @@ class ShardSpec:
     kernels: Tuple[str, ...]
     cases: Tuple[Tuple[str, str, str], ...]  #: (matrix, stc, kernel)
     seed: int = 0
-    timeout_s: float = 0.0                  #: per-case budget (0 = unlimited)
     max_retries: int = 1
-    max_leaked_threads: int = 8
     heartbeat_interval_s: float = 1.0
     journal: str = ""                       #: per-worker JSONL journal
     heartbeat: str = ""                     #: heartbeat file ("" disables)
@@ -155,9 +154,7 @@ class ShardSpec:
             "kernels": list(self.kernels),
             "cases": [list(c) for c in self.cases],
             "seed": self.seed,
-            "timeout_s": self.timeout_s,
             "max_retries": self.max_retries,
-            "max_leaked_threads": self.max_leaked_threads,
             "heartbeat_interval_s": self.heartbeat_interval_s,
             "journal": self.journal,
             "heartbeat": self.heartbeat,
@@ -184,9 +181,7 @@ class ShardSpec:
                 cases=tuple((str(m), str(s), str(k))
                             for m, s, k in data["cases"]),
                 seed=int(data.get("seed", 0)),
-                timeout_s=float(data.get("timeout_s", 0.0)),
                 max_retries=int(data.get("max_retries", 1)),
-                max_leaked_threads=int(data.get("max_leaked_threads", 8)),
                 heartbeat_interval_s=float(
                     data.get("heartbeat_interval_s", 1.0)),
                 journal=str(data.get("journal", "")),
@@ -251,9 +246,7 @@ class ShardSpec:
             kernels=self.kernels,
             cases=tuple((c.matrix_name, c.stc_name, c.kernel) for c in cases),
             seed=self.seed,
-            timeout_s=self.timeout_s,
             max_retries=self.max_retries,
-            max_leaked_threads=self.max_leaked_threads,
             heartbeat_interval_s=self.heartbeat_interval_s,
             journal=journal,
             heartbeat=heartbeat,

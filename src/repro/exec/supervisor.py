@@ -4,14 +4,18 @@
 self-describing :class:`~repro.exec.shard.ShardSpec` files, dispatches
 them to a pool of ``repro worker`` subprocesses, and supervises them:
 
-- **Deadlines** — a shard that overruns ``policy.shard_timeout_s``
-  is *actually killed* (SIGTERM, then SIGKILL after
-  ``policy.term_grace_s``), unlike the thread-based per-case timeout
-  which can only abandon a thread.
+- **Per-case deadlines** — each worker stamps the case attempt in
+  flight into its heartbeat file; an attempt older than
+  ``policy.timeout_s`` gets its worker *actually killed* (SIGTERM,
+  then SIGKILL after ``policy.term_grace_s``) and the shard respawned.
+  A case killed more than ``max_retries`` times is journaled as a
+  ``timeout`` failure and its shard requeued on the remaining cases,
+  with no crash-budget charge and no bisection.  This is the
+  campaign's only timeout mechanism.
 - **Heartbeats** — a worker whose heartbeat file goes stale for
   ``heartbeat_interval_s x heartbeat_misses`` is presumed wedged
   (or SIGSTOPped) and killed the same way.
-- **Bounded crash retry** — a crashed/killed/recycled shard is
+- **Bounded crash retry** — a crashed or heartbeat-killed shard is
   respawned with seeded :class:`~repro.resilience.runner.RetryPolicy`
   backoff, up to ``policy.max_shard_retries`` times; the respawn
   resumes from the shard's own journal, so finished cases never
@@ -33,10 +37,13 @@ them to a pool of ``repro worker`` subprocesses, and supervises them:
   tracer so the campaign exports one Chrome trace with real worker
   pids.  See :mod:`repro.obs.telemetry`.
 
-``policy.workers == 0`` — or an environment where subprocesses cannot
-be spawned at all — degrades to the plain in-process
-:class:`~repro.resilience.runner.ResilientRunner` path with identical
-results and journal bytes.
+``policy.workers == 0`` without a deadline — or an environment where
+subprocesses cannot be spawned at all — degrades to the plain
+in-process :class:`~repro.resilience.runner.ResilientRunner` path with
+identical results and journal bytes.  A deadline (``timeout_s > 0``)
+needs a process to kill, so it runs the campaign on at least one
+supervised worker; the spawn-failure fallback warns that it cannot
+enforce one.
 """
 
 from __future__ import annotations
@@ -48,7 +55,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -56,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigError
+from repro.errors import CaseTimeoutError, ConfigError
 from repro.exec import worker as worker_mod
 from repro.exec.journal import merge_journals
 from repro.exec.shard import CaseListSweep, ShardSpec, StcDef, shard_cases
@@ -72,12 +78,12 @@ from repro.resilience.runner import (
     RunSummary,
     case_key,
     grid_fingerprint,
+    journal_entry,
     journal_header,
     read_journal,
 )
 from repro.sim import engine
 from repro.sim.sweep import SweepCase
-from repro.store import ResultStore
 
 logger = logging.getLogger(__name__)
 
@@ -95,19 +101,25 @@ _STATUS_S = 1.0
 
 @dataclass(frozen=True)
 class ExecPolicy:
-    """The multi-process execution envelope of one campaign."""
+    """The multi-process execution envelope of one campaign.
+
+    ``timeout_s`` is the campaign's one per-case deadline.  Only a
+    worker process can be killed, so a deadline makes the campaign
+    distributed even with ``workers=0``: it then runs on one worker.
+    """
 
     workers: int = 0                 #: subprocess pool size (0 = in-process)
-    shard_timeout_s: float = 0.0     #: per-shard wall clock (0 = unlimited)
+    timeout_s: float = 0.0           #: per-case deadline (0 = unlimited)
     heartbeat_interval_s: float = 1.0
     heartbeat_misses: int = 10       #: stale beats before a kill (0 disables)
     term_grace_s: float = 2.0        #: SIGTERM -> SIGKILL escalation window
     max_shard_retries: int = 2       #: crash budget per shard (then bisect)
-    max_leaked_threads: int = 8      #: per-worker zombie-thread cap
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ConfigError("workers cannot be negative")
+        if self.timeout_s < 0:
+            raise ConfigError("timeout_s cannot be negative")
         if self.max_shard_retries < 0:
             raise ConfigError("max_shard_retries cannot be negative")
         if self.heartbeat_interval_s <= 0:
@@ -115,7 +127,12 @@ class ExecPolicy:
 
     @property
     def distributed(self) -> bool:
-        return self.workers > 0
+        return self.workers > 0 or self.timeout_s > 0
+
+    @property
+    def pool_size(self) -> int:
+        """Workers run at once: ``workers``, or one for a deadline alone."""
+        return max(self.workers, 1) if self.distributed else 0
 
 
 @dataclass
@@ -130,6 +147,8 @@ class _ShardState:
     started_at: float = 0.0
     crashes: int = 0
     respawn_at: float = 0.0   #: monotonic time of the scheduled respawn
+    #: Deadline kills per case key; charged to the case, not ``crashes``.
+    timeouts: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -152,7 +171,6 @@ class CampaignExecutor:
     resume: bool = False
     fingerprint: Optional[str] = None
     seed: int = 0
-    timeout_s: float = 0.0
     max_retries: int = 1
     #: Shared content-addressed result store: every shard binds it as
     #: its block-cache second tier, and the in-process path binds it
@@ -203,51 +221,35 @@ class CampaignExecutor:
             return RunSummary()
         fingerprint = self.fingerprint or grid_fingerprint(cases)
         if not self.policy.distributed or not sys.executable:
-            return self._run_in_process(cases, fingerprint, progress)
+            return self._run_in_process(cases, fingerprint, progress,
+                                        self.journal_path, self.resume)
         return self._run_distributed(cases, fingerprint, progress)
 
     # -- in-process degradation -----------------------------------------
-
-    def _store_binding(self):
-        """(context manager, owned handle) binding ``store_path`` locally.
-
-        When the session (or caller) already bound the same store
-        process-wide this is a no-op pair — a second handle would just
-        open a redundant writer segment.
-        """
-        if self.store_path is None:
-            return nullcontext(), None
-        root = Path(str(self.store_path))
-        bound = engine.bound_store()
-        if bound is not None and Path(bound.root) == root:
-            return nullcontext(), None
-        store = ResultStore(root)
-        return engine.store_tier(store), store
 
     def _run_in_process(
         self,
         cases: List[SweepCase],
         fingerprint: str,
         progress: Optional[Callable[[CaseOutcome], None]],
+        journal_path: Optional[Union[str, Path]],
+        resume: bool,
     ) -> RunSummary:
         """The zero-subprocess path: one ResilientRunner, same results."""
+        if self.policy.timeout_s:
+            logger.warning(
+                "the %gs per-case timeout cannot be enforced in-process; "
+                "cases run without a deadline", self.policy.timeout_s)
         runner = ResilientRunner(
             sweep=self._build_sweep(cases),
-            timeout_s=self.timeout_s or None,
             retry=RetryPolicy(max_retries=self.max_retries),
-            journal_path=self.journal_path,
-            resume=self.resume,
+            journal_path=journal_path,
+            resume=resume,
             seed=self.seed,
             fingerprint=fingerprint,
-            max_leaked_threads=self.policy.max_leaked_threads,
         )
-        binding, owned = self._store_binding()
-        try:
-            with binding:
-                return runner.run(progress=progress)
-        finally:
-            if owned is not None:
-                owned.close()
+        with engine.store_dir_tier(self.store_path):
+            return runner.run(progress=progress)
 
     # -- distributed path -----------------------------------------------
 
@@ -312,23 +314,8 @@ class CampaignExecutor:
                     logger.warning(
                         "cannot dispatch worker subprocesses (%s); "
                         "falling back to in-process execution", exc)
-                    runner = ResilientRunner(
-                        sweep=self._build_sweep(cases),
-                        timeout_s=self.timeout_s or None,
-                        retry=RetryPolicy(max_retries=self.max_retries),
-                        journal_path=journal,
-                        resume=journal.exists(),
-                        seed=self.seed,
-                        fingerprint=fingerprint,
-                        max_leaked_threads=self.policy.max_leaked_threads,
-                    )
-                    binding, owned = self._store_binding()
-                    try:
-                        with binding:
-                            return runner.run(progress=progress)
-                    finally:
-                        if owned is not None:
-                            owned.close()
+                    return self._run_in_process(cases, fingerprint, progress,
+                                                journal, journal.exists())
                 shard_journals = sorted(workdir.glob("*.journal"))
                 merge_journals(journal, shard_journals, fingerprint,
                                order=order, cases=len(order))
@@ -376,23 +363,34 @@ class CampaignExecutor:
             if path.is_file():
                 path.unlink()
 
+    def _artifacts(self, workdir: Path, shard_id: str,
+                   metric_paths: List[Path]) -> Dict[str, str]:
+        """One shard's journal/heartbeat/metrics/telemetry paths."""
+        # The telemetry stream subsumes the exit-time metrics file
+        # (and survives SIGKILL); only one channel folds in, or the
+        # campaign's counters would double.
+        metrics = ""
+        if obs.enabled() and not self.telemetry:
+            metrics_path = workdir / f"{shard_id}.metrics.json"
+            metric_paths.append(metrics_path)
+            metrics = str(metrics_path)
+        return {
+            "journal": str(workdir / f"{shard_id}.journal"),
+            "heartbeat": str(workdir / f"{shard_id}.heartbeat"),
+            "metrics": metrics,
+            "telemetry": (str(telemetry_path(workdir, shard_id))
+                          if self.telemetry else ""),
+        }
+
     def _make_shards(self, pending: List[SweepCase], fingerprint: str,
                      workdir: Path, metric_paths: List[Path]
                      ) -> List[ShardSpec]:
-        n_shards = min(self.policy.workers, len(pending))
+        n_shards = min(self.policy.pool_size, len(pending))
         specs: List[ShardSpec] = []
         for i, chunk in enumerate(shard_cases(pending, n_shards)):
             shard_id = f"s{i}"
             used_matrices = {c.matrix_name for c in chunk}
             used_stcs = {c.stc_name for c in chunk}
-            # The telemetry stream subsumes the exit-time metrics file
-            # (and survives SIGKILL); only one channel folds in, or the
-            # campaign's counters would double.
-            metrics = ""
-            if obs.enabled() and not self.telemetry:
-                metrics_path = workdir / f"{shard_id}.metrics.json"
-                metric_paths.append(metrics_path)
-                metrics = str(metrics_path)
             specs.append(ShardSpec(
                 shard_id=shard_id,
                 campaign=fingerprint,
@@ -403,16 +401,10 @@ class CampaignExecutor:
                 cases=tuple((c.matrix_name, c.stc_name, c.kernel)
                             for c in chunk),
                 seed=self.seed,
-                timeout_s=self.timeout_s,
                 max_retries=self.max_retries,
-                max_leaked_threads=self.policy.max_leaked_threads,
                 heartbeat_interval_s=self.policy.heartbeat_interval_s,
-                journal=str(workdir / f"{shard_id}.journal"),
-                heartbeat=str(workdir / f"{shard_id}.heartbeat"),
-                metrics=metrics,
-                telemetry=(str(telemetry_path(workdir, shard_id))
-                           if self.telemetry else ""),
                 store=str(self.store_path) if self.store_path else "",
+                **self._artifacts(workdir, shard_id, metric_paths),
             ))
         return specs
 
@@ -430,7 +422,7 @@ class CampaignExecutor:
         next_tail = next_status = 0.0
         try:
             while queue or active:
-                while queue and len(active) < policy.workers:
+                while queue and len(active) < policy.pool_size:
                     spec = queue.pop(0)
                     state = self._prepare(spec, workdir)
                     if monitor is not None and spec.telemetry:
@@ -471,9 +463,10 @@ class CampaignExecutor:
                                         min(state.crashes - 1,
                                             policy.max_shard_retries), rng)
                         continue
+                    late_case = None
                     returncode = state.proc.poll()
                     if returncode is None:
-                        reason = self._overdue(state, now)
+                        reason, late_case = self._overdue(state, now)
                         if reason is None:
                             continue
                         obs.inc("exec.worker_kills", reason=reason)
@@ -485,26 +478,32 @@ class CampaignExecutor:
                         self._kill(state.proc)
                         returncode = state.proc.returncode
                     self._close_log(state)
+                    state.proc = None
                     if returncode == worker_mod.EXIT_OK:
                         del active[shard_id]
                         continue
-                    if returncode == worker_mod.EXIT_RECYCLE:
-                        obs.inc("exec.workers_recycled")
-                        logger.info("recycling shard %s worker "
-                                    "(leaked-thread cap)", shard_id)
+                    if late_case is not None:
+                        # A deadline kill is charged to the case: past
+                        # its retry budget it is journaled as a timeout
+                        # and the rest of the shard moves on.
+                        kills = state.timeouts.get(late_case, 0) + 1
+                        state.timeouts[late_case] = kills
+                        if kills > self.max_retries:
+                            self._time_out(state, late_case, kills, queue,
+                                           workdir, metric_paths)
+                            del active[shard_id]
+                            continue
+                        attempt = kills - 1
                     else:
                         obs.inc("exec.worker_crashes")
                         logger.warning(
                             "shard %s worker died (exit %s); "
                             "%d crash(es) so far",
                             shard_id, returncode, state.crashes + 1)
-                    # Recycles share the crash budget: a worker that
-                    # leaks threads every respawn must still converge
-                    # on bisection rather than respawn forever.
-                    state.crashes += 1
-                    state.proc = None
-                    state.respawn_at = now + backoff.delay(
-                        min(state.crashes - 1, policy.max_shard_retries), rng)
+                        state.crashes += 1
+                        attempt = min(state.crashes - 1,
+                                      policy.max_shard_retries)
+                    state.respawn_at = now + backoff.delay(attempt, rng)
                 if monitor is not None and now >= next_tail:
                     next_tail = now + _TAIL_S
                     monitor.poll()
@@ -541,7 +540,8 @@ class CampaignExecutor:
             stdout=state.log_handle, stderr=subprocess.STDOUT, env=env,
         )
         state.started_at = time.monotonic()
-        obs.event("exec.respawn" if state.crashes else "exec.dispatch",
+        obs.event("exec.respawn" if state.crashes or state.timeouts
+                  else "exec.dispatch",
                   shard=state.spec.shard_id, pid=state.proc.pid,
                   crashes=state.crashes)
 
@@ -551,13 +551,19 @@ class CampaignExecutor:
             state.log_handle.close()
             state.log_handle = None
 
-    def _overdue(self, state: _ShardState, now: float) -> Optional[str]:
-        """Why a running worker should be killed, or ``None``."""
+    def _overdue(self, state: _ShardState, now: float
+                 ) -> Tuple[Optional[str], Optional[str]]:
+        """Why a running worker should be killed (``None``: it should
+        not), and the case key a deadline kill is charged to."""
         policy = self.policy
-        if (policy.shard_timeout_s
-                and now - state.started_at > policy.shard_timeout_s):
-            return (f"exceeded the {policy.shard_timeout_s:g}s shard "
-                    "deadline")
+        if policy.timeout_s and state.spec.heartbeat:
+            # The pid check skips a dead predecessor's stale stamp.
+            stamp = worker_mod.in_flight(Path(state.spec.heartbeat),
+                                         state.proc.pid)
+            if stamp is not None and time.time() - stamp[1] > policy.timeout_s:
+                case = stamp[0].replace("\x1f", ", ")
+                return (f"case ({case}) exceeded the {policy.timeout_s:g}s "
+                        "deadline", stamp[0])
         if policy.heartbeat_misses and state.spec.heartbeat:
             stale_after = (policy.heartbeat_interval_s
                            * policy.heartbeat_misses)
@@ -570,8 +576,8 @@ class CampaignExecutor:
             age = min(time.time() - last_beat, now - state.started_at)
             if age > stale_after:
                 return (f"heartbeat stale for {age:.1f}s "
-                        f"(> {stale_after:g}s)")
-        return None
+                        f"(> {stale_after:g}s)", None)
+        return None, None
 
     def _kill(self, proc: subprocess.Popen) -> None:
         """SIGTERM, grace period, then SIGKILL; always reaps the child.
@@ -586,78 +592,97 @@ class CampaignExecutor:
             proc.kill()
             proc.wait()
 
-    # -- poison handling -------------------------------------------------
+    # -- poison and timeout handling ------------------------------------
 
-    def _exhaust(self, state: _ShardState, queue: List[ShardSpec],
-                 workdir: Path, metric_paths: List[Path]) -> None:
-        """Crash budget spent: bisect the pending cases or quarantine."""
-        spec = state.spec
+    @staticmethod
+    def _pending(spec: ShardSpec) -> List[SweepCase]:
+        """The shard's cases its journal holds no ``ok`` outcome for."""
         done = set()
         journal = Path(spec.journal)
         if journal.exists():
             done = {key for key, o
                     in read_journal(journal, spec.campaign).items()
                     if o.status == "ok"}
-        pending = [c for c in spec.sweep_cases() if case_key(c) not in done]
+        return [c for c in spec.sweep_cases() if case_key(c) not in done]
+
+    def _exhaust(self, state: _ShardState, queue: List[ShardSpec],
+                 workdir: Path, metric_paths: List[Path]) -> None:
+        """Crash budget spent: bisect the pending cases or quarantine."""
+        spec = state.spec
+        pending = self._pending(spec)
         if not pending:
             return  # it crashed after journaling its last case
         if len(pending) == 1:
-            self._quarantine(spec, pending[0], state.crashes)
+            case = pending[0]
+            obs.inc("exec.cases_quarantined")
+            obs.event("exec.quarantine", shard=spec.shard_id,
+                      matrix=case.matrix_name, stc=case.stc_name,
+                      kernel=case.kernel)
+            logger.error(
+                "quarantining poison case (%s, %s, %s): it killed its "
+                "worker %d time(s)", case.matrix_name, case.kernel,
+                case.stc_name, state.crashes)
+            self._journal_failure(spec, CaseOutcome(
+                case=case, status="failed", attempts=state.crashes,
+                failure=CaseFailure(
+                    taxonomy="poison", type="WorkerCrashError",
+                    message=(f"case crashed or hung its worker process "
+                             f"{state.crashes} time(s) and was "
+                             "quarantined"))))
             return
         obs.inc("exec.shards_bisected")
         obs.event("exec.bisect", shard=spec.shard_id, pending=len(pending))
         mid = (len(pending) + 1) // 2
         for suffix, chunk in (("a", pending[:mid]), ("b", pending[mid:])):
             child_id = spec.shard_id + suffix
-            metrics = ""
-            if obs.enabled() and not self.telemetry:
-                metrics_path = workdir / f"{child_id}.metrics.json"
-                metric_paths.append(metrics_path)
-                metrics = str(metrics_path)
             queue.append(spec.replace_cases(
-                chunk, shard_id=child_id,
-                journal=str(workdir / f"{child_id}.journal"),
-                heartbeat=str(workdir / f"{child_id}.heartbeat"),
-                metrics=metrics,
-                telemetry=(str(telemetry_path(workdir, child_id))
-                           if self.telemetry else ""),
-            ))
+                chunk, child_id,
+                **self._artifacts(workdir, child_id, metric_paths)))
         logger.warning(
             "shard %s exhausted its crash budget with %d pending case(s); "
             "bisecting into %sa / %sb",
             spec.shard_id, len(pending), spec.shard_id, spec.shard_id)
 
-    def _quarantine(self, spec: ShardSpec, case: SweepCase,
-                    crashes: int) -> None:
-        """Journal the single case that keeps killing workers."""
-        obs.inc("exec.cases_quarantined")
-        obs.event("exec.quarantine", shard=spec.shard_id,
-                  matrix=case.matrix_name, stc=case.stc_name,
-                  kernel=case.kernel)
-        logger.error(
-            "quarantining poison case (%s, %s, %s): it killed its worker "
-            "%d time(s)", case.matrix_name, case.kernel, case.stc_name,
-            crashes)
-        entry = {
-            "case": {"matrix": case.matrix_name, "stc": case.stc_name,
-                     "kernel": case.kernel},
-            "status": "failed",
-            "attempts": crashes,
-            "elapsed_s": 0.0,
-            "error": {
-                "taxonomy": "poison",
-                "type": "WorkerCrashError",
-                "message": (f"case crashed or hung its worker process "
-                            f"{crashes} time(s) and was quarantined"),
-            },
-        }
+    def _time_out(self, state: _ShardState, key: str, kills: int,
+                  queue: List[ShardSpec], workdir: Path,
+                  metric_paths: List[Path]) -> None:
+        """Journal a case that overran every deadline; requeue the rest."""
+        spec = state.spec
+        pending = self._pending(spec)
+        rest = [c for c in pending if case_key(c) != key]
+        if len(rest) < len(pending):
+            case = next(c for c in pending if case_key(c) == key)
+            obs.inc("exec.cases_timed_out")
+            obs.event("timeout", matrix=case.matrix_name,
+                      kernel=case.kernel, stc=case.stc_name,
+                      budget_s=self.policy.timeout_s)
+            logger.error(
+                "case (%s, %s, %s) overran the %gs deadline %d time(s); "
+                "journaling it as a timeout", case.matrix_name, case.kernel,
+                case.stc_name, self.policy.timeout_s, kills)
+            self._journal_failure(spec, CaseOutcome(
+                case=case, status="failed", attempts=kills,
+                failure=CaseFailure(
+                    taxonomy="timeout", type=CaseTimeoutError.__name__,
+                    message=(f"case exceeded its {self.policy.timeout_s:g}s "
+                             f"budget on {kills} attempt(s); its worker "
+                             "was killed each time"))))
+        if rest:
+            child_id = spec.shard_id + "t"
+            queue.append(spec.replace_cases(
+                rest, child_id,
+                **self._artifacts(workdir, child_id, metric_paths)))
+
+    @staticmethod
+    def _journal_failure(spec: ShardSpec, outcome: CaseOutcome) -> None:
+        """Append a supervisor-decided terminal failure to the shard journal."""
         journal = Path(spec.journal)
         if not journal.exists():
             journal.write_text(
                 json.dumps(journal_header(spec.campaign, len(spec.cases)))
                 + "\n", encoding="utf-8")
         with open(journal, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
+            handle.write(json.dumps(journal_entry(outcome)) + "\n")
 
     # -- join ------------------------------------------------------------
 

@@ -9,9 +9,15 @@ finished case, spans on the heartbeat cadence; see
 :mod:`repro.obs.telemetry`), and dumping an obs metrics snapshot on
 the way out.  The worker
 *always* resumes from its own journal if one exists: a respawned
-worker (after a crash or a recycle) picks up exactly where its
+worker (after a crash or a deadline kill) picks up exactly where its
 predecessor's last flushed line left off, so no finished case is ever
 re-simulated.
+
+The worker enforces no deadline itself.  Before each case attempt it
+stamps the case key and start time into the heartbeat payload and
+beats at once; the supervisor reads that stamp and kills the process
+when the attempt outlives ``--timeout`` (see
+:class:`~repro.exec.supervisor.CampaignExecutor`).
 
 Exit-code protocol (what the supervisor branches on):
 
@@ -22,9 +28,6 @@ code  meaning
       (case *failures* are outcomes, not worker crashes)
 2     structured worker error (bad spec, corrupt journal, ...); the
       message on stderr is the diagnosis
-3     recycle request — the worker hit its leaked-thread cap
-      (:class:`~repro.errors.ThreadLeakError`) and wants to be
-      restarted; only a process exit actually frees zombie threads
 other signal death / hard crash — the supervisor treats the shard as
       crashed and applies its retry / bisection budget
 ====  =================================================================
@@ -32,10 +35,11 @@ other signal death / hard crash — the supervisor treats the shard as
 Chaos injection (tests and the CI chaos-smoke job) rides the
 ``REPRO_WORKER_CHAOS`` environment variable::
 
-    kill:SUBSTR:MARKER   SIGKILL self before the first case whose key
-                         contains SUBSTR, once (MARKER file arms it)
+    kill:SUBSTR[:MARKER] SIGKILL self before every case attempt whose
+                         key contains SUBSTR; with a MARKER file, only
+                         once (creating the marker arms it)
     hang:SUBSTR          sleep forever in that case (exercises the
-                         shard deadline -> hard kill path)
+                         per-case deadline -> hard kill path)
     stop:SUBSTR:MARKER   SIGSTOP self there, once (exercises
                          heartbeat-loss detection)
 
@@ -53,16 +57,17 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro import obs
-from repro.errors import ConfigError, ThreadLeakError
+from repro.errors import ConfigError
 from repro.exec.shard import ShardSpec
 from repro.obs.telemetry import TelemetryWriter
 from repro.resilience.runner import (
     CaseOutcome,
     ResilientRunner,
     RetryPolicy,
+    case_key,
 )
 from repro.sim.sweep import SweepCase
 
@@ -70,7 +75,6 @@ logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_ERROR = 2
-EXIT_RECYCLE = 3
 
 #: Environment variable carrying a chaos directive (see module docs).
 CHAOS_ENV = "REPRO_WORKER_CHAOS"
@@ -80,10 +84,12 @@ class Heartbeat:
     """A background thread that refreshes the shard's heartbeat file.
 
     Each beat rewrites the file with a tiny JSON payload
-    (``{"t": ..., "done": ..., "pid": ...}``); the supervisor only
-    looks at the mtime, the payload is for humans debugging a stuck
-    campaign.  Writes go through a temp file + rename so the
-    supervisor never reads a half-written beat.
+    (``{"t": ..., "done": ..., "pid": ...}``, plus ``case`` and
+    ``since`` while a case attempt is in flight).  The supervisor reads
+    the mtime for liveness and the in-flight stamp for the per-case
+    deadline (:func:`in_flight`).  Writes go through a temp file +
+    rename under a lock, so the supervisor never reads a half-written
+    beat even when a case start and the timer thread beat at once.
     """
 
     def __init__(self, path: Path, interval_s: float,
@@ -91,26 +97,36 @@ class Heartbeat:
         self._path = path
         self._interval_s = max(interval_s, 0.05)
         self._done = 0
+        self._inflight: Optional[Tuple[str, float]] = None
         self._on_beat = on_beat
+        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._loop, name="repro-heartbeat", daemon=True
         )
 
+    def start_case(self, key: str) -> None:
+        """Stamp ``key`` as the in-flight case attempt and beat at once."""
+        self._inflight = (key, time.time())
+        self._beat()
+
     def advance(self) -> None:
         self._done += 1
+        self._inflight = None
 
     def _beat(self) -> None:
-        payload = json.dumps(
-            {"t": time.time(), "done": self._done, "pid": os.getpid()}
-        )
+        payload = {"t": time.time(), "done": self._done, "pid": os.getpid()}
+        inflight = self._inflight
+        if inflight is not None:
+            payload["case"], payload["since"] = inflight
         tmp = self._path.with_name(self._path.name + ".tmp")
-        try:
-            tmp.write_text(payload + "\n", encoding="utf-8")
-            os.replace(tmp, self._path)
-        except OSError:  # a vanished workdir must not kill the shard
-            logger.warning("could not write heartbeat %s", self._path,
-                           exc_info=True)
+        with self._lock:
+            try:
+                tmp.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+                os.replace(tmp, self._path)
+            except OSError:  # a vanished workdir must not kill the shard
+                logger.warning("could not write heartbeat %s", self._path,
+                               exc_info=True)
 
     def _loop(self) -> None:
         while not self._stop.wait(self._interval_s):
@@ -133,16 +149,28 @@ class Heartbeat:
         self._beat()  # final beat records the terminal done-count
 
 
+def in_flight(path: Path, pid: int) -> Optional[Tuple[str, float]]:
+    """The (case key, wall-clock start) worker ``pid`` last stamped into
+    its heartbeat file, or ``None`` when no attempt is in flight."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if payload["pid"] != pid:
+            return None
+        return str(payload["case"]), float(payload["since"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def _chaos_hook(directive: str) -> Callable[[SweepCase], None]:
     """Compile a ``REPRO_WORKER_CHAOS`` directive into a pre-case hook."""
     parts = directive.split(":")
     action = parts[0]
     if action not in ("kill", "hang", "stop"):
         raise ConfigError(f"unknown chaos action {action!r} in {directive!r}")
-    if action in ("kill", "stop") and len(parts) < 3:
+    if action == "stop" and len(parts) < 3:
         raise ConfigError(
             f"chaos directive {directive!r} needs a marker path: "
-            f"{action}:SUBSTR:MARKER")
+            "stop:SUBSTR:MARKER")
     substr = parts[1]
     marker = Path(":".join(parts[2:])) if len(parts) > 2 else None
 
@@ -154,12 +182,13 @@ def _chaos_hook(directive: str) -> Callable[[SweepCase], None]:
             logger.warning("chaos: hanging in case %s", key)
             while True:
                 time.sleep(3600)
-        # One-shot actions arm themselves through the marker file so a
-        # respawned worker does not die at the same case forever.
-        try:
-            marker.touch(exist_ok=False)
-        except FileExistsError:
-            return
+        # A marker makes the action one-shot, so a respawned worker does
+        # not die at the same case forever; a bare kill fires every time.
+        if marker is not None:
+            try:
+                marker.touch(exist_ok=False)
+            except FileExistsError:
+                return
         if action == "kill":
             logger.warning("chaos: SIGKILLing self in case %s", key)
             os.kill(os.getpid(), signal.SIGKILL)
@@ -194,21 +223,15 @@ def run_shard(spec: ShardSpec) -> int:
         store = ResultStore(spec.store)
         engine.bind_store(store)
     sweep = spec.build_sweep()
-    chaos = os.environ.get(CHAOS_ENV)
-    if chaos:
-        sweep.pre_case = _chaos_hook(chaos)
-
     journal = Path(spec.journal)
     journal.parent.mkdir(parents=True, exist_ok=True)
     runner = ResilientRunner(
         sweep=sweep,
-        timeout_s=spec.timeout_s or None,
         retry=RetryPolicy(max_retries=spec.max_retries),
         journal_path=journal,
         resume=journal.exists(),
         seed=spec.seed,
         fingerprint=spec.campaign,
-        max_leaked_threads=spec.max_leaked_threads,
     )
 
     def on_sigterm(signum, frame):  # noqa: ARG001 - signal signature
@@ -236,6 +259,18 @@ def run_shard(spec: ShardSpec) -> int:
             on_beat=telemetry.beat if telemetry is not None else None,
         )
 
+    chaos = os.environ.get(CHAOS_ENV)
+    chaos_hook = _chaos_hook(chaos) if chaos else None
+
+    def pre_case(case: SweepCase) -> None:
+        # Stamp the attempt before any chaos fires: a hang must already
+        # be on the supervisor's deadline clock.
+        if heartbeat is not None:
+            heartbeat.start_case(case_key(case))
+        if chaos_hook is not None:
+            chaos_hook(case)
+
+    sweep.pre_case = pre_case
     done = 0
 
     def progress(outcome: CaseOutcome) -> None:
@@ -249,7 +284,6 @@ def run_shard(spec: ShardSpec) -> int:
             # SIGKILL loses after this line was never journaled either.
             telemetry.case_done(done)
 
-    exit_code = EXIT_OK
     phase = "finished"
     try:
         if telemetry is not None:
@@ -258,11 +292,6 @@ def run_shard(spec: ShardSpec) -> int:
             heartbeat.__enter__()
         try:
             runner.run(progress=progress)
-        except ThreadLeakError as exc:
-            logger.warning("shard %s requests a recycle: %s",
-                           spec.shard_id, exc)
-            exit_code = EXIT_RECYCLE
-            phase = "recycling"
         except SystemExit:
             phase = "terminated"
             raise
@@ -288,7 +317,7 @@ def run_shard(spec: ShardSpec) -> int:
             except OSError:
                 logger.warning("could not write metrics snapshot %s",
                                spec.metrics, exc_info=True)
-    return exit_code
+    return EXIT_OK
 
 
 def worker_main(spec_path: str) -> int:

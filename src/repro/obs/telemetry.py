@@ -67,16 +67,27 @@ logger = logging.getLogger(__name__)
 TELEMETRY_SCHEMA = 1
 
 #: Compact JSON encoder, built once: ``json.dumps`` with non-default
-#: separators constructs a fresh encoder per call, which would cost
-#: more than the encoding itself on the per-case hot path.
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+#: separators constructs a fresh encoder per call, and so does
+#: ``JSONEncoder.encode`` under the hood (one C encoder per call), which
+#: would cost more than the encoding itself on the per-case hot path.
+#: Where CPython's C encoder exists it is built once here (same bytes).
+_encoder = json.JSONEncoder(separators=(",", ":"))
+if json.encoder.c_make_encoder is None:
+    _compact_json = _encoder.encode
+else:
+    _c_compact = json.encoder.c_make_encoder(
+        None, _encoder.default, json.encoder.encode_basestring_ascii, None,
+        ":", ",", False, False, True)
+
+    def _compact_json(obj: object) -> str:
+        return "".join(_c_compact(obj, 0))
 
 #: Campaign status document identity.
 STATUS_KIND = "repro.exec.status"
 STATUS_SCHEMA = 1
 
 #: Worker phases that mean "this incarnation will write no more".
-TERMINAL_PHASES = ("finished", "recycling", "terminated", "aborted")
+TERMINAL_PHASES = ("finished", "terminated", "aborted")
 
 #: Samples kept per shard for the cases/s estimate.
 _RATE_WINDOW = 32

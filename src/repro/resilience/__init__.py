@@ -4,10 +4,11 @@ Two halves, mirroring how long-running analytical simulators (the
 Sparseloop / SCALE-Sim service model) stay usable at corpus scale:
 
 - :mod:`repro.resilience.runner` — executes a
-  :class:`~repro.sim.sweep.Sweep` case by case with per-case wall-clock
-  timeouts, bounded retry with exponential backoff + jitter, a
-  structured error taxonomy, and a JSONL checkpoint journal that lets
-  an interrupted sweep resume without re-simulating finished cases.
+  :class:`~repro.sim.sweep.Sweep` case by case with bounded retry
+  (exponential backoff + jitter), a structured error taxonomy, and a
+  JSONL checkpoint journal that lets an interrupted sweep resume
+  without re-simulating finished cases.  Per-case deadlines are the
+  campaign supervisor's job (:mod:`repro.exec`).
 - :mod:`repro.resilience.faults` — a deterministic, seeded
   :class:`FaultInjector` that corrupts BBC bitmaps/metadata/values,
   drops or duplicates T1 tasks, and poisons cached block results, then

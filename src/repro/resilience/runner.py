@@ -5,8 +5,6 @@ matrix, one hung model, one corrupt cache file and the whole corpus
 run is lost.  :class:`ResilientRunner` executes the same grid with the
 failure-isolation properties a long-running sweep service needs:
 
-- **Per-case timeouts** — a case that exceeds its wall-clock budget is
-  abandoned and recorded as ``timeout``; the sweep moves on.
 - **Bounded retry** — failures whose taxonomy class is retryable are
   re-attempted with exponential backoff plus seeded jitter.
 - **Case isolation** — any :class:`Exception` is captured as a
@@ -21,6 +19,11 @@ Block results outlive the process only through a result store bound
 around the run (:func:`repro.sim.engine.store_tier`, as
 :class:`repro.runtime.Session` does for ``--store DIR``); the runner
 itself persists nothing but its journal.
+
+The runner enforces no deadline: a case cannot be killed from inside
+its own process.  Per-case timeouts belong to the campaign supervisor
+(:class:`repro.exec.CampaignExecutor`), which kills the worker process
+running an overdue case and journals it as a ``timeout`` failure.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
@@ -47,7 +48,6 @@ from repro.errors import (
     FormatError,
     ShapeError,
     SimulationError,
-    ThreadLeakError,
 )
 from repro.arch.counters import Counters
 from repro.arch.tasks import UtilHistogram
@@ -209,10 +209,6 @@ def case_key(case: SweepCase) -> str:
     return f"{case.matrix_name}\x1f{case.kernel}\x1f{case.stc_name}"
 
 
-#: Backwards-compatible private alias.
-_case_key = case_key
-
-
 def grid_fingerprint(cases: List[SweepCase]) -> str:
     """Order-independent digest binding a journal to one exact grid."""
     digest = hashlib.sha256()
@@ -220,9 +216,6 @@ def grid_fingerprint(cases: List[SweepCase]) -> str:
         digest.update(key.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()[:16]
-
-
-_grid_fingerprint = grid_fingerprint
 
 
 def journal_header(fingerprint: str, cases: int) -> dict:
@@ -233,6 +226,29 @@ def journal_header(fingerprint: str, cases: int) -> dict:
         "fingerprint": fingerprint,
         "cases": cases,
     }
+
+
+def journal_entry(outcome: CaseOutcome) -> dict:
+    """One case's terminal outcome as a journal line payload."""
+    entry = {
+        "case": {
+            "matrix": outcome.case.matrix_name,
+            "stc": outcome.case.stc_name,
+            "kernel": outcome.case.kernel,
+        },
+        "status": outcome.status,
+        "attempts": outcome.attempts,
+        "elapsed_s": round(outcome.elapsed_s, 6),
+    }
+    if outcome.report is not None:
+        entry["report"] = _report_to_json(outcome.report)
+    if outcome.failure is not None:
+        entry["error"] = {
+            "taxonomy": outcome.failure.taxonomy,
+            "type": outcome.failure.type,
+            "message": outcome.failure.message,
+        }
+    return entry
 
 
 def check_journal_header(header: dict, path: Path,
@@ -333,7 +349,6 @@ class ResilientRunner:
     """
 
     sweep: Sweep
-    timeout_s: Optional[float] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     journal_path: Optional[Union[str, Path]] = None
     resume: bool = False
@@ -341,86 +356,8 @@ class ResilientRunner:
     sleep: Callable[[float], None] = time.sleep
     clock: Callable[[], float] = time.monotonic
     fingerprint: Optional[str] = None
-    #: Abandoned-thread budget: each in-thread timeout leaks one zombie
-    #: thread, and past this many the process fails fast with
-    #: :class:`ThreadLeakError` instead of silently accumulating them
-    #: (0 disables the cap).  A supervised worker turns that failure
-    #: into a process restart, which is the only way the leaked threads
-    #: actually die.
-    max_leaked_threads: int = 8
-
-    def __post_init__(self) -> None:
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._leaked_threads = 0
-
-    @property
-    def leaked_threads(self) -> int:
-        """Timed-out case threads abandoned by this runner so far."""
-        return self._leaked_threads
-
-    # -- journal ---------------------------------------------------------
-
-    def _read_journal(self, fingerprint: str) -> Dict[str, CaseOutcome]:
-        """Parse the runner's journal (see :func:`read_journal`)."""
-        return read_journal(self.journal_path, fingerprint)
-
-    @staticmethod
-    def _journal_entry(outcome: CaseOutcome) -> dict:
-        entry = {
-            "case": {
-                "matrix": outcome.case.matrix_name,
-                "stc": outcome.case.stc_name,
-                "kernel": outcome.case.kernel,
-            },
-            "status": outcome.status,
-            "attempts": outcome.attempts,
-            "elapsed_s": round(outcome.elapsed_s, 6),
-        }
-        if outcome.report is not None:
-            entry["report"] = _report_to_json(outcome.report)
-        if outcome.failure is not None:
-            entry["error"] = {
-                "taxonomy": outcome.failure.taxonomy,
-                "type": outcome.failure.type,
-                "message": outcome.failure.message,
-            }
-        return entry
 
     # -- execution -------------------------------------------------------
-
-    def _run_with_timeout(self, case: SweepCase) -> SweepResult:
-        """One attempt, enforcing the wall-clock budget if configured.
-
-        Timeouts use a single worker thread; Python cannot kill a
-        runaway thread, so a timed-out case's thread is abandoned (it
-        no longer blocks the sweep) and the executor is replaced.
-        """
-        if self.timeout_s is None:
-            return self.sweep.run_case(case)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-sweep"
-            )
-        future = self._executor.submit(self.sweep.run_case, case)
-        try:
-            return future.result(timeout=self.timeout_s)
-        except _FutureTimeout:
-            future.cancel()
-            self._executor.shutdown(wait=False)
-            self._executor = None
-            self._leaked_threads += 1
-            obs.inc("runner.leaked_threads")
-            logger.warning(
-                "abandoned the timed-out thread of case (%s, %s, %s); "
-                "%d zombie thread%s now leaked in this process",
-                case.matrix_name, case.kernel, case.stc_name,
-                self._leaked_threads,
-                "" if self._leaked_threads == 1 else "s",
-            )
-            raise CaseTimeoutError(
-                f"case ({case.matrix_name}, {case.kernel}, {case.stc_name}) "
-                f"exceeded its {self.timeout_s:g}s budget"
-            ) from None
 
     def _run_case(self, case: SweepCase, rng: np.random.Generator) -> CaseOutcome:
         """Attempt one case until success, a non-retryable failure, or
@@ -433,17 +370,13 @@ class ResilientRunner:
                 with obs.span("case_attempt", matrix=case.matrix_name,
                               kernel=case.kernel, stc=case.stc_name,
                               attempt=attempts):
-                    result = self._run_with_timeout(case)
+                    result = self.sweep.run_case(case)
                 return CaseOutcome(
                     case=case, status="ok", report=result.report,
                     attempts=attempts, elapsed_s=self.clock() - start,
                 )
             except Exception as exc:  # noqa: BLE001 - isolation is the point
                 taxonomy = classify_error(exc)
-                if taxonomy == "timeout":
-                    obs.event("timeout", matrix=case.matrix_name,
-                              kernel=case.kernel, stc=case.stc_name,
-                              budget_s=self.timeout_s)
                 retries_left = self.retry.max_retries - (attempts - 1)
                 if taxonomy in self.retry.retryable and retries_left > 0:
                     delay = self.retry.delay(attempts - 1, rng)
@@ -485,14 +418,14 @@ class ResilientRunner:
         """
         rng = np.random.default_rng(self.seed)
         cases = self.sweep.cases()
-        fingerprint = self.fingerprint or _grid_fingerprint(cases)
+        fingerprint = self.fingerprint or grid_fingerprint(cases)
 
         journaled: Dict[str, CaseOutcome] = {}
         journal_handle = None
         if self.journal_path is not None:
             path = Path(str(self.journal_path))
             if self.resume and path.exists():
-                journaled = self._read_journal(fingerprint)
+                journaled = read_journal(self.journal_path, fingerprint)
                 journal_handle = open(path, "a", encoding="utf-8")
             else:
                 if self.resume:
@@ -510,7 +443,7 @@ class ResilientRunner:
         try:
             with sweep_span:
                 for case in cases:
-                    prior = journaled.get(_case_key(case))
+                    prior = journaled.get(case_key(case))
                     if prior is not None and prior.status == "ok":
                         summary.outcomes.append(prior)
                         if progress is not None:
@@ -520,27 +453,12 @@ class ResilientRunner:
                     summary.outcomes.append(outcome)
                     if journal_handle is not None:
                         journal_handle.write(
-                            json.dumps(self._journal_entry(outcome)) + "\n"
+                            json.dumps(journal_entry(outcome)) + "\n"
                         )
                         journal_handle.flush()
                     if progress is not None:
                         progress(outcome)
-                    if (self.max_leaked_threads
-                            and self._leaked_threads > self.max_leaked_threads):
-                        # Fail fast *after* journaling the outcome: the
-                        # work done so far stays resumable, and in a
-                        # supervised worker the restart kills the
-                        # zombies this process can no longer shed.
-                        raise ThreadLeakError(
-                            f"{self._leaked_threads} timed-out case threads "
-                            f"leaked (cap {self.max_leaked_threads}); this "
-                            "process can no longer be trusted — restart it "
-                            "and resume from the checkpoint journal"
-                        )
         finally:
             if journal_handle is not None:
                 journal_handle.close()
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-                self._executor = None
         return summary

@@ -5,8 +5,9 @@ wants the same guarantees — runs inside a :class:`Session`::
 
     spec = RunSpec(command="kernels", params={...}, seed=7)
     with Session(spec) as session:
-        sweep = session.sweep(matrices, ["ds-stc", "uni-stc"], ["spmv"])
-        summary = session.runner(sweep).run()
+        executor = session.executor({"m0": "band:64:6:0.5"},
+                                    ["ds-stc", "uni-stc"], ["spmv"])
+        summary = executor.run()
 
 The session owns, uniformly for every run:
 
@@ -15,9 +16,9 @@ The session owns, uniformly for every run:
 - **observability wiring** — the tracer/metrics registry is enabled
   per the spec's :class:`~repro.runtime.spec.ObsPolicy`, artifacts are
   written on exit, and the previous obs state is restored;
-- **cache and resilience policy** — :meth:`runner` builds a
-  :class:`~repro.resilience.runner.ResilientRunner` already configured
-  with the spec's timeout/retry/journal/cache settings;
+- **cache, resilience and exec policy** — :meth:`executor` builds a
+  :class:`~repro.exec.CampaignExecutor` already configured with the
+  spec's retry/journal/store/deadline/worker settings;
 - the **run manifest** — a JSON record (config fingerprint, seed,
   package version, wall time, block-cache delta, metrics snapshot,
   exit status) written into ``spec.manifest_dir`` for every run, even
@@ -31,17 +32,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.formats.coo import COOMatrix
-from repro.registry import parse_matrix_spec, stc_factory
-from repro.resilience.runner import ResilientRunner
+from repro.registry import parse_matrix_spec
 from repro.runtime.spec import RunSpec
 from repro.sim.engine import bind_store, bound_store, cache_stats
-from repro.sim.sweep import Sweep
 from repro.store import ResultStore
 
 #: Manifest schema version; bumped on incompatible layout changes.
@@ -90,33 +89,6 @@ class Session:
         """Materialise a matrix through the workload registry."""
         return parse_matrix_spec(spec)
 
-    def sweep(
-        self,
-        matrices: Dict[str, COOMatrix],
-        stc_names: Sequence[str],
-        kernels: Sequence[str],
-    ) -> Sweep:
-        """A sweep grid with STCs resolved through the registry."""
-        return Sweep.from_names(matrices, stc_names, kernels)
-
-    def stcs(self, names: Sequence[str]) -> List:
-        """Fresh model instances for the given registry names."""
-        return [stc_factory(name)() for name in names]
-
-    def runner(self, sweep: Sweep,
-               fingerprint: Optional[str] = None) -> ResilientRunner:
-        """A fault-tolerant runner configured from the spec's policies."""
-        res = self.spec.resilience
-        return ResilientRunner(
-            sweep,
-            timeout_s=res.timeout,
-            retry=res.retry_policy(),
-            journal_path=res.checkpoint or None,
-            resume=res.resume,
-            seed=self.spec.seed,
-            fingerprint=fingerprint,
-        )
-
     def executor(
         self,
         matrices: Dict[str, str],
@@ -129,10 +101,10 @@ class Session:
         ``matrices`` maps names to registry matrix-spec *strings* (not
         materialised matrices) — the executor's shards must be
         self-describing so worker processes can rebuild them.  With the
-        spec's default :class:`~repro.exec.ExecPolicy` (``workers=0``)
-        this runs in-process through the same
-        :class:`~repro.resilience.runner.ResilientRunner` path as
-        :meth:`runner`, with identical results and journal bytes.
+        spec's default :class:`~repro.exec.ExecPolicy` (``workers=0``,
+        no deadline) this runs in-process through one
+        :class:`~repro.resilience.runner.ResilientRunner`, with results
+        and journal bytes identical to a sharded run's.
         """
         from repro.exec import CampaignExecutor, StcDef
 
@@ -150,7 +122,6 @@ class Session:
             resume=res.resume,
             fingerprint=fingerprint,
             seed=self.spec.seed,
-            timeout_s=res.timeout_s,
             max_retries=res.max_retries,
             store_path=self.spec.cache.store_dir or None,
             policy=self.spec.exec,
@@ -236,7 +207,7 @@ class Session:
             "exit_code": int(self.exit_code),
             "cache": cache_delta.as_dict(),
             "policies": {
-                "timeout_s": spec.resilience.timeout_s,
+                "timeout_s": spec.exec.timeout_s,
                 "max_retries": spec.resilience.max_retries,
                 "checkpoint": spec.resilience.checkpoint,
                 "resume": spec.resilience.resume,

@@ -7,11 +7,12 @@ fingerprint), the seed, and three orthogonal policies —
 - :class:`ObsPolicy` — whether observability is on and where its
   trace/metrics artifacts go;
 - :class:`CachePolicy` — the persistent result store, if any;
-- :class:`ResiliencePolicy` — per-case timeout, retry budget and the
-  checkpoint journal (+ resume) for fault-tolerant grids;
+- :class:`ResiliencePolicy` — retry budget and the checkpoint journal
+  (+ resume) for fault-tolerant grids;
 - :class:`~repro.exec.ExecPolicy` — the multi-process execution
-  envelope (worker pool size, shard deadlines, heartbeat and crash
-  budgets); the default ``workers=0`` keeps runs in-process.
+  envelope (worker pool size, the per-case deadline, heartbeat and
+  crash budgets); the default ``workers=0`` without a deadline keeps
+  runs in-process.
 
 Specs are frozen and fingerprintable: :meth:`RunSpec.fingerprint`
 hashes the command, parameters and seed (never host paths), so two
@@ -24,11 +25,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ConfigError
 from repro.exec.supervisor import ExecPolicy
-from repro.resilience.runner import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class CachePolicy:
 class ResiliencePolicy:
     """Fault-tolerance envelope for grid-shaped runs."""
 
-    timeout_s: float = 0.0
     max_retries: int = 1
     checkpoint: str = ""
     resume: bool = False
@@ -83,14 +82,6 @@ class ResiliencePolicy:
             raise ConfigError("--resume requires --checkpoint <path>")
         if self.max_retries < 0:
             raise ConfigError("max_retries cannot be negative")
-
-    @property
-    def timeout(self) -> Optional[float]:
-        """The wall-clock budget, ``None`` when unlimited."""
-        return self.timeout_s if self.timeout_s > 0 else None
-
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(max_retries=self.max_retries)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ to a report; the test suite steps the same stream through
 from __future__ import annotations
 
 from contextlib import contextmanager
+from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Optional
 
@@ -102,6 +103,25 @@ def store_tier(store):
         yield store
     finally:
         _BLOCK_CACHE.store = previous
+
+
+@contextmanager
+def store_dir_tier(path):
+    """Open and bind the result store at ``path`` for the block.
+
+    A no-op for ``path=None``, and when that store is already bound (a
+    session-wide binding): a second handle would only open a redundant
+    writer segment.  The handle opened here is closed on exit.
+    """
+    bound = _BLOCK_CACHE.store
+    if path is None or (bound is not None
+                        and Path(bound.root) == Path(str(path))):
+        yield bound
+        return
+    from repro.store import ResultStore
+
+    with ResultStore(path) as store, store_tier(store):
+        yield store
 
 
 def cache_size() -> int:

@@ -118,8 +118,9 @@ class Sweep:
         """Execute a single grid cell independently of the others.
 
         This is the unit of work the fault-tolerant runner
-        (:mod:`repro.resilience.runner`) times out, retries and
-        journals; encodings are shared across cases via :meth:`encode`.
+        (:mod:`repro.resilience.runner`) retries and journals, and the
+        campaign supervisor (:mod:`repro.exec`) puts a deadline on;
+        encodings are shared across cases via :meth:`encode`.
         """
         if case.stc_name not in self.stcs:
             raise SimulationError(f"unknown sweep STC {case.stc_name!r}")

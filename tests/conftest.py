@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,21 @@ from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, Gamma, NvDTC, RmSTC, Sigma, Trapezoid
 from repro.formats import BBCMatrix, COOMatrix, CSRMatrix
 from repro.workloads.synthetic import banded, poisson2d, random_uniform
+
+
+def leaked_workers(fragment) -> list:
+    """PIDs of live processes whose cmdline mentions ``fragment``."""
+    pids = []
+    for pid in Path("/proc").iterdir():
+        if not pid.name.isdigit():
+            continue
+        try:
+            cmdline = (pid / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if str(fragment).encode() in cmdline:
+            pids.append(pid.name)
+    return pids
 
 
 @pytest.fixture

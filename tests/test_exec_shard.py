@@ -50,7 +50,7 @@ class TestStcDef:
 
 class TestShardSpec:
     def test_round_trip_preserves_everything(self, tmp_path):
-        spec = make_spec(tmp_path, seed=7, timeout_s=2.5, max_retries=3,
+        spec = make_spec(tmp_path, seed=7, max_retries=3,
                          heartbeat=str(tmp_path / "hb"),
                          metrics=str(tmp_path / "m.json"))
         again = ShardSpec.from_json(spec.as_json())

@@ -3,14 +3,16 @@
 These spawn real ``repro worker`` subprocesses and inject failures
 through the ``REPRO_WORKER_CHAOS`` hook, so they are slower than unit
 tests but exercise the actual supervision machinery: crash respawn,
-hard-kill deadlines, heartbeat-loss detection, poison bisection and
-the deterministic journal join.
+per-case hard-kill deadlines, heartbeat-loss detection, poison
+bisection and the deterministic journal join.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import subprocess
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from repro.registry import parse_matrix_spec
 from repro.resilience.runner import ResilientRunner, RetryPolicy
 from repro.sim import engine
 from repro.sim.sweep import Sweep
+from tests.conftest import leaked_workers
 
 
 @pytest.fixture(autouse=True)
@@ -65,21 +68,6 @@ def normalised(journal):
             [strip_wallclock(json.loads(line)) for line in lines[1:]])
 
 
-def leaked_workers(fragment):
-    """PIDs of live processes whose cmdline mentions ``fragment``."""
-    pids = []
-    for pid in Path("/proc").iterdir():
-        if not pid.name.isdigit():
-            continue
-        try:
-            cmdline = (pid / "cmdline").read_bytes()
-        except OSError:
-            continue
-        if str(fragment).encode() in cmdline:
-            pids.append(pid.name)
-    return pids
-
-
 class TestInProcessPath:
     def test_workers_zero_matches_a_direct_runner(self, tmp_path):
         """The degraded path is literally the plain ResilientRunner."""
@@ -111,6 +99,22 @@ class TestInProcessPath:
         header, entries = normalised(journal)
         assert len(entries) == len(MATRICES)
         assert all(e["status"] == "ok" for e in entries)
+
+    def test_spawn_failure_warns_the_deadline_is_unenforced(
+            self, tmp_path, monkeypatch, caplog):
+        """The fallback cannot kill a case, and says so instead of
+        pretending to enforce --timeout."""
+        def no_subprocesses(*args, **kwargs):
+            raise OSError("spawn forbidden")
+
+        monkeypatch.setattr(subprocess, "Popen", no_subprocesses)
+        journal = tmp_path / "campaign.journal"
+        with caplog.at_level(logging.WARNING, logger="repro.exec.supervisor"):
+            summary = make_executor(
+                journal, policy=ExecPolicy(timeout_s=5.0)).run()
+        assert summary.n_ok == len(MATRICES)
+        assert any("cannot be enforced in-process" in r.getMessage()
+                   for r in caplog.records)
 
 
 class TestDistributedIdentity:
@@ -156,34 +160,69 @@ class TestCrashRecovery:
         assert all(e["attempts"] == 1 for e in entries)
         assert metrics.counter("exec.worker_crashes").total >= 1
 
-    def test_hung_case_is_hard_killed_bisected_and_quarantined(
+    def test_hung_case_is_hard_killed_and_journaled_as_timeout(
             self, tmp_path, monkeypatch, metrics):
-        """A case that hangs forever blows the shard deadline, gets its
-        worker killed for real, and after bisection is journaled as a
-        poison failure — while its shard-mates still complete."""
+        """A case that hangs forever overruns the per-case deadline,
+        gets its worker killed for real max_retries + 1 times, and is
+        journaled as a timeout — with no crash-budget charge and no
+        bisection — while its shard-mates still complete."""
         monkeypatch.setenv(CHAOS_ENV, "hang:m0")
         journal = tmp_path / "campaign.journal"
-        policy = ExecPolicy(workers=1, shard_timeout_s=2.5,
-                            term_grace_s=0.5, max_shard_retries=0,
-                            heartbeat_misses=0)
+        policy = ExecPolicy(workers=1, timeout_s=1.0, term_grace_s=0.5,
+                            max_shard_retries=0, heartbeat_misses=0)
+        threads = threading.active_count()
         summary = make_executor(
             journal, matrices={"m0": MATRICES["m0"], "m1": MATRICES["m1"]},
-            policy=policy).run()
+            policy=policy, max_retries=1).run()
 
         by_matrix = {o.case.matrix_name: o for o in summary.outcomes}
         assert by_matrix["m1"].status == "ok"
-        poisoned = by_matrix["m0"]
+        hung = by_matrix["m0"]
+        assert hung.status == "failed"
+        assert hung.failure.taxonomy == "timeout"
+        assert hung.failure.type == "CaseTimeoutError"
+        assert hung.attempts == 2
+
+        kills = metrics.counter("exec.worker_kills")
+        assert kills.total == 2
+        assert all("deadline" in dict(key).get("reason", "")
+                   for key in kills.series)
+        assert metrics.counter("exec.cases_timed_out").total == 1
+        assert metrics.counter("exec.worker_crashes").total == 0
+        assert metrics.counter("exec.shards_bisected").total == 0
+        assert metrics.counter("exec.cases_quarantined").total == 0
+        # The timed-out workers are dead, not leaked.
+        assert leaked_workers(str(journal) + ".d") == []
+        assert threading.active_count() == threads
+
+    def test_repeatedly_killed_case_is_bisected_and_quarantined(
+            self, tmp_path, monkeypatch, metrics):
+        """A case that SIGKILLs its worker on every attempt exhausts the
+        crash budget, is bisected down to itself and journaled as a
+        poison failure, while its shard-mates finish exactly as in an
+        unharmed single-process run."""
+        single = tmp_path / "single.journal"
+        make_executor(single).run()
+
+        monkeypatch.setenv(CHAOS_ENV, "kill:m0")
+        journal = tmp_path / "campaign.journal"
+        policy = ExecPolicy(workers=1, max_shard_retries=0)
+        summary = make_executor(journal, policy=policy).run()
+
+        by_matrix = {o.case.matrix_name: o for o in summary.outcomes}
+        poisoned = by_matrix.pop("m0")
         assert poisoned.status == "failed"
         assert poisoned.failure.taxonomy == "poison"
         assert poisoned.failure.type == "WorkerCrashError"
+        assert all(o.status == "ok" for o in by_matrix.values())
+        _, expected = normalised(single)
+        _, entries = normalised(journal)
+        assert [e for e in entries if e["case"]["matrix"] != "m0"] == \
+            [e for e in expected if e["case"]["matrix"] != "m0"]
 
-        kills = metrics.counter("exec.worker_kills")
-        assert any("deadline" in dict(key).get("reason", "")
-                   for key in kills.series)
-        assert metrics.counter("exec.shards_bisected").total == 1
+        assert metrics.counter("exec.shards_bisected").total == 2
         assert metrics.counter("exec.cases_quarantined").total == 1
-        # The timed-out workers are dead, not leaked.
-        assert leaked_workers(journal.name + ".d") == []
+        assert leaked_workers(str(journal) + ".d") == []
 
     def test_heartbeat_loss_is_detected_and_killed(
             self, tmp_path, monkeypatch, metrics):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ConfigError, ReproError
+from repro.exec import ExecPolicy
 from repro.runtime import (
     MANIFEST_SCHEMA,
     CachePolicy,
@@ -54,8 +55,15 @@ class TestRunSpec:
             ResiliencePolicy(max_retries=-1)
 
     def test_timeout_zero_means_unlimited(self):
-        assert ResiliencePolicy(timeout_s=0.0).timeout is None
-        assert ResiliencePolicy(timeout_s=2.5).timeout == 2.5
+        """No deadline keeps a workers=0 run in-process; a deadline needs
+        a process to kill, so it runs on one supervised worker."""
+        unlimited = ExecPolicy(timeout_s=0.0)
+        assert not unlimited.distributed and unlimited.pool_size == 0
+        deadline = ExecPolicy(timeout_s=2.5)
+        assert deadline.distributed and deadline.pool_size == 1
+        assert ExecPolicy(workers=3, timeout_s=2.5).pool_size == 3
+        with pytest.raises(ConfigError):
+            ExecPolicy(timeout_s=-1.0)
 
 
 class TestSession:
@@ -151,22 +159,26 @@ class TestSession:
         assert "sim.cycles" in session.artifact.manifest["metrics"]["counters"]
 
     def test_sweep_and_runner_compose_through_registry(self, tmp_path):
+        """The session's one grid route: an executor carrying every
+        policy of the spec (the deadline runs it on one worker)."""
         journal = tmp_path / "j.jsonl"
         spec = self._spec(
             tmp_path, seed=3,
-            resilience=ResiliencePolicy(timeout_s=30.0, max_retries=2,
+            resilience=ResiliencePolicy(max_retries=2,
                                         checkpoint=str(journal)),
+            exec=ExecPolicy(timeout_s=30.0),
         )
         with Session(spec) as session:
-            matrices = {"m": session.matrix("band:64:8:0.5")}
-            sweep = session.sweep(matrices, ["ds-stc", "uni-stc"], ["spmv"])
-            runner = session.runner(sweep)
-            assert runner.timeout_s == 30.0
-            assert runner.retry.max_retries == 2
-            assert runner.seed == 3
-            summary = runner.run()
+            executor = session.executor({"m": "band:64:8:0.5"},
+                                        ["ds-stc", "uni-stc"], ["spmv"])
+            assert executor.policy.timeout_s == 30.0
+            assert executor.max_retries == 2
+            assert executor.seed == 3
+            assert executor.journal_path == str(journal)
+            summary = executor.run()
         assert summary.n_ok == 2
         assert journal.exists()
+        assert session.artifact.manifest["policies"]["timeout_s"] == 30.0
 
     def test_unwritable_manifest_dir_degrades_gracefully(self, tmp_path):
         blocker = tmp_path / "file"

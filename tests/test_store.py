@@ -617,14 +617,12 @@ class TestBlockCacheTier:
 class TestRunnerStoreRoundTrip:
     def test_resilient_runner_end_to_end(self, root):
         from repro.runtime import CachePolicy, RunSpec, Session
-        from repro.sim.sweep import Sweep
 
-        matrices = {"banded": banded(96, 10, 0.4, seed=2)}
-        sweep = Sweep.from_names(matrices, ["uni-stc"], ["spmv"])
+        grid = ({"banded": "band:96:10:0.4"}, ["uni-stc"], ["spmv"])
         spec = RunSpec("corpus", cache=CachePolicy(store_dir=str(root)),
                        manifest_dir="")
         with Session(spec) as session:
-            first = session.runner(sweep).run()
+            first = session.executor(*grid).run()
         assert engine.bound_store() is None
         engine.clear_cache()
         with ResultStore(root) as store:
@@ -634,7 +632,7 @@ class TestRunnerStoreRoundTrip:
         # A "new process": empty LRU, the store bound as its second tier.
         before = engine.cache_stats().snapshot()
         with Session(spec) as session:
-            second = session.runner(sweep).run()
+            second = session.executor(*grid).run()
         delta = engine.cache_stats().delta(before)
         assert delta.store_hits == records  # replayed, not re-simulated
         assert delta.store_misses == 0
