@@ -2,16 +2,19 @@
 
 A model turns one :class:`~repro.arch.tasks.T1Task` into a
 :class:`BlockResult`: cycles, a per-cycle MAC-utilisation histogram,
-and the action counters the energy model prices.  The simulation
-engine (:mod:`repro.sim.engine`) memoises ``simulate_block`` on the
-task's bitmap pair, so models must be pure functions of the task.
+and the action counters the energy model prices.  A batch of tasks
+turns into an ``[N, VECTOR_WIDTH]`` action-row matrix, one row per
+task in the :data:`VECTOR_WIDTH` layout; that matrix is the currency
+of the engine, its LRU and the result store.  The simulation engine
+(:mod:`repro.sim.engine`) memoises rows on the task's bitmap pair, so
+models must be pure functions of the task.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,14 +22,14 @@ from repro.arch.counters import ACTIONS, Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.errors import SimulationError
 
-#: Layout of :meth:`BlockResult.action_vector`:
-#: [cycles, products, util bins 0..3, one slot per ``ACTIONS`` entry].
+#: Width of an action row: [cycles, products, util bins 0..3, one slot
+#: per ``ACTIONS`` entry] (see :meth:`BlockResult.action_vector`).
 VECTOR_WIDTH = 2 + 4 + len(ACTIONS)
 
 
 @dataclass
 class BlockResult:
-    """Outcome of simulating one T1 task on one STC."""
+    """Outcome of stepping one T1 task on one STC (``simulate_block``)."""
 
     cycles: int
     products: int
@@ -38,67 +41,39 @@ class BlockResult:
             raise SimulationError("cycles and products must be non-negative")
 
     def action_vector(self) -> np.ndarray:
-        """The result flattened to one float64 row (see ``VECTOR_WIDTH``).
-
-        Memoised results are aggregated millions of times across a
-        corpus sweep; flattening once lets the engine reduce a whole
-        coalesced task stream with a single weighted matrix product
-        instead of per-task ``Counters.merge`` calls.  The vector is
-        cached on first use — results in the block cache are treated
-        as immutable.
-        """
-        vec = getattr(self, "_vector", None)
-        if vec is None:
-            vec = np.zeros(VECTOR_WIDTH)
-            vec[0] = self.cycles
-            vec[1] = self.products
-            vec[2:6] = self.util_hist.bins
-            for j, action in enumerate(ACTIONS):
-                vec[6 + j] = self.counters.get(action)
-            self._vector = vec
+        """The result flattened to one float64 row (see ``VECTOR_WIDTH``)."""
+        vec = np.zeros(VECTOR_WIDTH)
+        vec[0] = self.cycles
+        vec[1] = self.products
+        vec[2:6] = self.util_hist.bins
+        for j, action in enumerate(ACTIONS):
+            vec[6 + j] = self.counters.get(action)
         return vec
 
     def action_vector_int(self) -> Optional[np.ndarray]:
         """:meth:`action_vector` as int64, or ``None`` when non-integral.
 
-        Corpus-scale aggregation sums these in the integer domain so
+        Corpus-scale aggregation sums rows in the integer domain so
         totals stay exact past 2^53, where float64 accumulation would
         silently round.  Models whose counters genuinely carry
-        fractional values return ``None`` and are aggregated in float64
-        as before.  Cached like the float vector.
+        fractional values return ``None`` and are aggregated in float64.
         """
-        vec = getattr(self, "_int_vector", False)
-        if vec is False:
-            float_vec = self.action_vector()
-            as_int = np.rint(float_vec).astype(np.int64)
-            vec = as_int if np.array_equal(as_int, float_vec) else None
-            self._int_vector = vec
-        return vec
-
-    @property
-    def mean_utilisation(self) -> float:
-        """Average MAC utilisation implied by products / (cycles * lanes).
-
-        Only meaningful when the owning model records ``lane budget x
-        cycles`` consistently; exposed for convenience in tests.
-        """
-        lanes = self.counters.get("lane_cycles")
-        return self.products / lanes if lanes else 0.0
+        float_vec = self.action_vector()
+        as_int = np.rint(float_vec).astype(np.int64)
+        return as_int if np.array_equal(as_int, float_vec) else None
 
 
 def result_rows(results: Sequence[BlockResult]) -> np.ndarray:
-    """Stack results as one ``[N, VECTOR_WIDTH]`` action-row matrix.
+    """Stack stepped results as one ``[N, VECTOR_WIDTH]`` action-row matrix.
 
-    The row matrix is the engine's, LRU's and store's currency.  It is
-    int64 unless some result's counters are genuinely fractional, in
-    which case the whole matrix is float64.
+    The matrix is int64 unless some result's counters are genuinely
+    fractional, in which case the whole matrix is float64.
     """
     if not results:
         return np.zeros((0, VECTOR_WIDTH), dtype=np.int64)
-    rows = [result.action_vector_int() for result in results]
-    if any(row is None for row in rows):
-        rows = [result.action_vector() for result in results]
-    return np.stack(rows)
+    rows = np.stack([result.action_vector() for result in results])
+    as_int = np.rint(rows).astype(np.int64)
+    return as_int if np.array_equal(as_int, rows) else rows
 
 
 class STCModel(ABC):
@@ -111,16 +86,18 @@ class STCModel(ABC):
     def simulate_block(self, task: T1Task) -> BlockResult:
         """Simulate one 16x16x16 block task and return its outcome."""
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
-        """Evaluate a batch of block tasks; ``results[i]`` is ``tasks[i]``'s.
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+        """Action rows of a batch of block tasks; row ``i`` is ``tasks[i]``'s.
 
-        The default steps :meth:`simulate_block` per task.  Models with
-        a vectorised path (:class:`~repro.arch.unistc.UniSTC`, RM-STC,
-        DS-STC; see :mod:`repro.arch.batching`) override this;
-        overrides must return results equal to the per-block path — the
-        engine's memo treats the two interchangeably.
+        Returns an ``[N, VECTOR_WIDTH]`` matrix, equal to
+        :func:`result_rows` of the stepped results.  The default steps
+        :meth:`simulate_block` per task.  Models with a vectorised path
+        (:class:`~repro.arch.unistc.UniSTC`, RM-STC, DS-STC; see
+        :mod:`repro.arch.batching`) override this; overrides must
+        return the same rows, dtype included — the engine's memo treats
+        the two interchangeably.
         """
-        return [self.simulate_block(task) for task in tasks]
+        return result_rows([self.simulate_block(task) for task in tasks])
 
     @property
     @abstractmethod

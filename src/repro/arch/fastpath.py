@@ -17,16 +17,19 @@ engine's warm-path memoisation.  Per batch it
    of stepping the TMS cycle by cycle;
 5. replays only the task → cycle assignment of streams whose dispatch
    windows carry an output-tile conflict (round-robin arbitration
-   reshuffles the schedule), and falls back to per-block
-   :meth:`UniSTC.simulate_block` stepping only for blocks with an
-   over-budget T3 task (the stepped path raises).
+   reshuffles the schedule).
+
+A group the arrays cannot schedule — an unknown ordering, or a T3 task
+over the MAC budget — steps through the inherited
+:meth:`~repro.arch.base.STCModel.simulate_blocks`, which raises the
+stepped path's canonical error.
 
 The analytic accounting replicates the TMS dispatch rules exactly —
 window packing under the MAC/DPG budgets, wakeup-stall exposure, the
 per-cycle tile-fetch delta against the previous cycle's working set —
-so results are equal field-for-field to the stepped path.  The parity
-suite (``tests/test_fastpath.py``) asserts this result-for-result on
-every kernel's block population.
+so every action row equals the stepped path's.  The parity suite
+(``tests/test_fastpath.py``) asserts this row for row on every
+kernel's block population.
 
 DPG decomposition never steps either: the summary stats of
 :func:`~repro.arch.dpg.dpg_stats` summed over a block's T3 tasks are
@@ -42,17 +45,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.base import BlockResult, VECTOR_WIDTH
+from repro.arch.base import VECTOR_WIDTH, STCModel
 from repro.arch.batching import (
     ACTION_COL,
-    box_rows,
     evaluate_grouped,
     stack_operands,
     util_bin,
 )
-from repro.arch.config import UniSTCConfig
-from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task, UtilHistogram
+from repro.arch.tasks import T1Task
 from repro.arch.tms import ORDERINGS, tile_products_batch
 from repro.errors import SimulationError
 
@@ -297,119 +297,67 @@ def _pack_greedy(
     return cyc, np.add.reduceat(starts, offsets[:-1]), steps
 
 
-#: Counter insertion order of the stepped path (see ``box_rows``).
-_STEP_ORDER = (
-    "meta_reads",
-    "dpg_active_cycles",
-    "dpg_gated_cycles",
-    "sched_cycles",
-    "lane_cycles",
-    "tile_fetches",
-    "queue_ops",
-    "a_elem_reads",
-    "b_elem_reads",
-    "a_net_transfers",
-    "b_net_transfers",
-    "a_broadcasts",
-    "b_broadcasts",
-    "accum_accesses",
-    "c_elem_writes",
-    "c_net_transfers",
-    "mac_ops",
-)
-
-#: Shared empty-block results keyed by (macs, num_dpgs, gating, meta).
-#: Results are immutable once built, so identical empty blocks may
-#: share one object; meta_reads takes few distinct values (2 + nonzero
-#: tile counts), which bounds this dict to a handful of entries.
-_EMPTY_TEMPLATES: dict = {}
-
-
-def _empty_result(cfg: UniSTCConfig, meta_reads: int) -> BlockResult:
-    """Closed form for a zero-product block (Fig. 20's sparse regime)."""
-    key = (cfg.macs, cfg.num_dpgs, cfg.dynamic_gating, meta_reads)
-    cached = _EMPTY_TEMPLATES.get(key)
-    if cached is not None:
-        return cached
-    hist = UtilHistogram()
-    hist.record(0.0)
-    counters = Counters()
-    counters.add("meta_reads", meta_reads)
-    counters.add("sched_cycles", 1)
-    counters.add("lane_cycles", cfg.macs)
-    counters.add("dpg_gated_cycles", cfg.num_dpgs if cfg.dynamic_gating else 0)
-    counters.add("dpg_active_cycles", 0 if cfg.dynamic_gating else cfg.num_dpgs)
-    result = BlockResult(cycles=1, products=0, util_hist=hist, counters=counters)
-    vec = np.zeros(VECTOR_WIDTH, dtype=np.int64)
-    vec[0] = 1
-    vec[2] = 1
-    vec[ACTION_COL["meta_reads"]] = meta_reads
-    vec[ACTION_COL["sched_cycles"]] = 1
-    vec[ACTION_COL["lane_cycles"]] = cfg.macs
-    if cfg.dynamic_gating:
-        vec[ACTION_COL["dpg_gated_cycles"]] = cfg.num_dpgs
-    else:
-        vec[ACTION_COL["dpg_active_cycles"]] = cfg.num_dpgs
-    result._int_vector = vec
-    _EMPTY_TEMPLATES[key] = result
-    return result
-
-
-def simulate_blocks(stc, tasks: Sequence[T1Task]) -> List[BlockResult]:
+def simulate_blocks(stc, tasks: Sequence[T1Task]) -> np.ndarray:
     """Batched block evaluation for a :class:`~repro.arch.unistc.UniSTC`.
 
-    ``results[i]`` equals ``stc.simulate_block(tasks[i])`` exactly;
-    only the evaluation strategy differs.  Tasks of mixed B widths are
-    grouped per width and evaluated a bounded chunk at a time.
+    Returns the ``[N, VECTOR_WIDTH]`` int64 action rows; row ``i``
+    equals ``stc.simulate_block(tasks[i])``'s exactly, only the
+    evaluation strategy differs.  Tasks of mixed B widths are grouped
+    per width and evaluated a bounded chunk at a time.
     """
     return evaluate_grouped(tasks, lambda group: _evaluate_group(stc, group))
 
 
-def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
-    """Evaluate one uniform-B-width group of tasks."""
+def _evaluate_group(stc, tasks: List[T1Task]) -> np.ndarray:
+    """Action rows of one uniform-B-width group of tasks."""
+    if stc.ordering not in ORDERINGS:
+        # Stepping raises the canonical unknown-ordering error.
+        return STCModel.simulate_blocks(stc, tasks)
     cfg = stc.config
-    count = len(tasks)
+    macs, nd = cfg.macs, cfg.num_dpgs
     a_stack, b_stack = stack_operands(tasks)
     a_tiles, a_cols = decode_a_operands(a_stack)
     b_tiles, b_rows, _ = decode_b_operands(b_stack)
     products = tile_products_batch(a_cols, b_rows)  # [p, k, i, j]
+    if products.max() > macs:
+        # Stepping raises "no progress" on an over-budget T3 task.
+        return STCModel.simulate_blocks(stc, tasks)
     totals = products.sum(axis=(1, 2, 3))
     meta = (2 + (a_tiles != 0).sum(axis=(1, 2))
             + (b_tiles != 0).sum(axis=(1, 2)))
 
-    results: List[Optional[BlockResult]] = [None] * count
-    for index in np.nonzero(totals == 0)[0]:
-        results[int(index)] = _empty_result(cfg, int(meta[index]))
+    # A zero-product block retires in one idle cycle of metadata
+    # processing (Fig. 20's sparse regime).
+    rows = np.zeros((len(tasks), VECTOR_WIDTH), dtype=np.int64)
+    rows[:, ACTION_COL["meta_reads"]] = meta
+    empty = totals == 0
+    rows[empty, 0] = 1
+    rows[empty, 2] = 1
+    rows[empty, ACTION_COL["sched_cycles"]] = 1
+    rows[empty, ACTION_COL["lane_cycles"]] = macs
+    gate_col = "dpg_gated_cycles" if cfg.dynamic_gating else "dpg_active_cycles"
+    rows[empty, ACTION_COL[gate_col]] = nd
 
-    ne = np.nonzero(totals > 0)[0]
+    ne = np.nonzero(~empty)[0]
     if ne.size == 0:
-        return results
-    if stc.ordering not in ORDERINGS:
-        # Stepping raises the canonical unknown-ordering error.
-        for q in ne:
-            results[int(q)] = stc.simulate_block(tasks[int(q)])
-        return results
+        return rows
 
     # -- flat task arrays in dispatch order -----------------------------
     sub = products[ne]
     bb, kk, ii, jj = np.nonzero(sub)
     pp = sub[bb, kk, ii, jj]
+    nblocks = int(ne.size)
     order = _dispatch_order(
-        stc.ordering, cfg.adaptive_ordering, bb, kk, ii, jj, int(ne.size)
+        stc.ordering, cfg.adaptive_ordering, bb, kk, ii, jj, nblocks
     )
     if order is not None:
         bb, kk, ii, jj, pp = bb[order], kk[order], ii[order], jj[order], pp[order]
 
-    nblocks = int(ne.size)
     tasks_per_block = np.bincount(bb, minlength=nblocks)
     offsets = np.concatenate(([0], np.cumsum(tasks_per_block)))
 
     # -- window packing: every block at once ----------------------------
-    macs, nd = cfg.macs, cfg.num_dpgs
-    # Stepping raises "no progress" on an over-budget T3 task; those
-    # blocks pack with clipped products and are discarded below.
-    fallback = np.maximum.reduceat(pp, offsets[:-1]) > macs
-    cyc, ncyc, _ = _pack_greedy(np.minimum(pp, macs), offsets, nd, macs)
+    cyc, ncyc, _ = _pack_greedy(pp, offsets, nd, macs)
     cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
     gcyc = cyc_off[bb] + cyc
 
@@ -425,52 +373,27 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
             # The duplicate's block follows from its global cycle id.
             dup_blocks = np.searchsorted(
                 cyc_off, dup_key >> 4, side="right") - 1
-            conflicted = np.zeros(nblocks, dtype=bool)
-            conflicted[dup_blocks] = True
-            conflicted &= ~fallback
-            if conflicted.any():
-                p_list = pp.tolist()
-                out_list = (ii * 4 + jj).tolist()
-                for q in np.nonzero(conflicted)[0]:
-                    lo, hi = int(offsets[q]), int(offsets[q + 1])
-                    cyc[lo:hi], ncyc[q] = _dispatch_conflicted(
-                        p_list[lo:hi], out_list[lo:hi], nd, macs
-                    )
-                cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
-                gcyc = cyc_off[bb] + cyc
+            p_list = pp.tolist()
+            out_list = (ii * 4 + jj).tolist()
+            for q in np.unique(dup_blocks):
+                lo, hi = int(offsets[q]), int(offsets[q + 1])
+                cyc[lo:hi], ncyc[q] = _dispatch_conflicted(
+                    p_list[lo:hi], out_list[lo:hi], nd, macs
+                )
+            cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
+            gcyc = cyc_off[bb] + cyc
 
-    for q in np.nonzero(fallback)[0]:
-        gi = int(ne[q])
-        results[gi] = stc.simulate_block(tasks[gi])
-    fast = np.nonzero(~fallback)[0]
-    if fast.size == 0:
-        return results
-    if fallback.any():
-        live = ~fallback[bb]
-        remap = np.full(nblocks, -1, dtype=np.int64)
-        remap[fast] = np.arange(fast.size)
-        bb, kk, ii, jj, pp, cyc = (
-            arr[live] for arr in (bb, kk, ii, jj, pp, cyc)
-        )
-        bb = remap[bb]
-        tasks_per_block = tasks_per_block[fast]
-        ncyc = ncyc[fast]
-        cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
-        gcyc = cyc_off[bb] + cyc
-    nfast = int(fast.size)
-    fast_global = ne[fast]
-
-    # -- per-cycle accounting, vectorised over every fast block ---------
+    # -- per-cycle accounting, vectorised over every block ---------------
     ncycles = int(cyc_off[-1])
-    block_of_cycle = np.repeat(np.arange(nfast), ncyc)
+    block_of_cycle = np.repeat(np.arange(nblocks), ncyc)
     cycle_products = np.bincount(
         gcyc, weights=pp, minlength=ncycles
     ).astype(np.int64)
     cycle_tasks = np.bincount(gcyc, minlength=ncycles)
     bins = np.bincount(
         block_of_cycle * 4 + util_bin(cycle_products, macs),
-        minlength=nfast * 4,
-    ).reshape(nfast, 4)
+        minlength=nblocks * 4,
+    ).reshape(nblocks, 4)
 
     first_cycle = np.zeros(ncycles, dtype=bool)
     first_cycle[cyc_off[:-1]] = True
@@ -481,10 +404,10 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     if cfg.dynamic_gating:
         exposed = max(0, cfg.dpg_wakeup_cycles - cfg.lookahead_cycles)
         stalls = exposed * np.bincount(
-            block_of_cycle[cycle_tasks > prev_tasks], minlength=nfast
+            block_of_cycle[cycle_tasks > prev_tasks], minlength=nblocks
         )
     else:
-        stalls = np.zeros(nfast, dtype=np.int64)
+        stalls = np.zeros(nblocks, dtype=np.int64)
 
     # Tile fetches: per-cycle working-set delta vs the previous cycle.
     a_presence = np.zeros((ncycles, 16), dtype=bool)
@@ -499,15 +422,13 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     new_b[first_cycle] = b_presence[first_cycle]
     fetch_per_cycle = new_a.sum(axis=1) + new_b.sum(axis=1)
     fetches = np.bincount(
-        block_of_cycle, weights=fetch_per_cycle, minlength=nfast
+        block_of_cycle, weights=fetch_per_cycle, minlength=nblocks
     ).astype(np.int64)
 
     # -- DPG stage: closed-form per-block totals, whole batch at once ----
-    a_sub = a_stack[fast_global]
-    b_sub = b_stack[fast_global]
-    dpg_totals = _dpg_block_totals(
-        a_sub, b_sub, a_cols[fast_global], b_rows[fast_global]
-    )
+    a_sub = a_stack[ne]
+    b_sub = b_stack[ne]
+    dpg_totals = _dpg_block_totals(a_sub, b_sub, a_cols[ne], b_rows[ne])
 
     # float32 routes the batched matmul through BLAS; dot values are
     # bounded by the shared dim (16), so they are exact in float32.
@@ -516,25 +437,17 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     )
 
     # -- assembly --------------------------------------------------------
-    # Counter dicts are built directly (same insertion order and
-    # zero-skip rule as the stepped path's Counters.add calls).
     cycles_total = ncyc + stalls
     bins[:, 0] += stalls
-    gating = cfg.dynamic_gating
-    if gating:
+    if cfg.dynamic_gating:
         active = tasks_per_block
         gated = nd * ncyc - tasks_per_block + nd * stalls
     else:
         active = nd * cycles_total
-        gated = np.zeros(nfast, dtype=np.int64)
-    block_products = totals[fast_global]
-    block_meta = meta[fast_global]
+        gated = np.zeros(nblocks, dtype=np.int64)
+    block_products = totals[ne]
 
-    # Flattened action vectors for the whole batch at once — the
-    # engine's aggregation consumes these (action_vector_int), so
-    # stashing them here keeps the cold path free of per-result
-    # Counters.get loops.
-    vec = np.zeros((nfast, VECTOR_WIDTH), dtype=np.int64)
+    vec = np.zeros((nblocks, VECTOR_WIDTH), dtype=np.int64)
     t4_col = dpg_totals[:, 0]
     vec[:, 0] = cycles_total
     vec[:, 1] = block_products
@@ -550,13 +463,11 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     vec[:, ACTION_COL["a_broadcasts"]] = block_products
     vec[:, ACTION_COL["b_broadcasts"]] = block_products
     vec[:, ACTION_COL["tile_fetches"]] = fetches
-    vec[:, ACTION_COL["meta_reads"]] = block_meta
+    vec[:, ACTION_COL["meta_reads"]] = meta[ne]
     vec[:, ACTION_COL["queue_ops"]] = 2 * tasks_per_block + 2 * t4_col
     vec[:, ACTION_COL["dpg_active_cycles"]] = active
     vec[:, ACTION_COL["dpg_gated_cycles"]] = gated
     vec[:, ACTION_COL["accum_accesses"]] = t4_col
     vec[:, ACTION_COL["sched_cycles"]] = cycles_total
-
-    for index, result in zip(fast_global.tolist(), box_rows(vec, _STEP_ORDER)):
-        results[index] = result
-    return results
+    rows[ne] = vec
+    return rows

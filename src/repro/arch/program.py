@@ -109,9 +109,9 @@ def compile_kernel(
                 weight=int(batch.weights[i]),
             ))
     pending_generation = 0  # generation cycles not yet hidden
-    for task, block in zip(tasks, uni.simulate_blocks(tasks)):
+    for task, cycles in zip(tasks, uni.simulate_blocks(tasks)[:, 0].tolist()):
         for _ in range(task.weight):
-            exec_cycles = max(1, block.cycles)
+            exec_cycles = max(1, cycles)
             gen_inst = UWMMA[f"stc.task_gen.{suffix}"]
             gen_cycles = gen_inst.cycles_for(max(1, exec_cycles // uni.config.num_dpgs))
             numeric_inst = UWMMA[f"stc.numeric.{suffix}"]

@@ -25,7 +25,6 @@ import numpy as np
 from repro.arch.base import VECTOR_WIDTH, BlockResult, STCModel
 from repro.arch.batching import (
     ACTION_COL,
-    box_rows,
     evaluate_grouped,
     stack_operands,
     util_bin,
@@ -34,22 +33,6 @@ from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.baselines.common import ceil_div, chunks, operand_arrays
-
-
-#: Counter insertion order of :meth:`DsSTC.simulate_block`.
-_STEP_ORDER = (
-    "meta_reads",
-    "a_elem_reads",
-    "a_net_transfers",
-    "b_elem_reads",
-    "b_net_transfers",
-    "mac_ops",
-    "c_elem_writes",
-    "c_net_transfers",
-    "accum_accesses",
-    "lane_cycles",
-    "sched_cycles",
-)
 
 
 class DsSTC(STCModel):
@@ -107,8 +90,8 @@ class DsSTC(STCModel):
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
-        """Closed-form batch evaluation; equal to :meth:`simulate_block`.
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+        """Closed-form batch evaluation; rows equal :meth:`simulate_block`'s.
 
         Per block and K layer, with ``na = |A[:, k]|`` and
         ``nb = |B[k, :]|``, the layer issues ``ceil(na / chunk_a) *
@@ -119,7 +102,7 @@ class DsSTC(STCModel):
         """
         return evaluate_grouped(tasks, self._evaluate_group)
 
-    def _evaluate_group(self, tasks: List[T1Task]) -> List[BlockResult]:
+    def _evaluate_group(self, tasks: List[T1Task]) -> np.ndarray:
         a, b = stack_operands(tasks)
         na = a.sum(axis=1, dtype=np.int64)            # [N, k] A column counts
         nb = b.sum(axis=2, dtype=np.int64)            # [N, k] B row counts
@@ -161,4 +144,4 @@ class DsSTC(STCModel):
             rows[:, ACTION_COL[name]] = products
         rows[:, ACTION_COL["lane_cycles"]] = self.macs * cycles
         rows[:, ACTION_COL["sched_cycles"]] = cycles
-        return box_rows(rows, _STEP_ORDER)
+        return rows

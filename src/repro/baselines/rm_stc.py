@@ -28,7 +28,6 @@ import numpy as np
 from repro.arch.base import VECTOR_WIDTH, BlockResult, STCModel
 from repro.arch.batching import (
     ACTION_COL,
-    box_rows,
     evaluate_grouped,
     stack_operands,
     util_bin,
@@ -37,22 +36,6 @@ from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.baselines.common import operand_arrays
-
-
-#: Counter insertion order of :meth:`RmSTC.simulate_block`.
-_STEP_ORDER = (
-    "a_elem_reads",
-    "a_net_transfers",
-    "meta_reads",
-    "b_elem_reads",
-    "b_net_transfers",
-    "c_elem_writes",
-    "c_net_transfers",
-    "accum_accesses",
-    "mac_ops",
-    "lane_cycles",
-    "sched_cycles",
-)
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +149,10 @@ class RmSTC(STCModel):
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Batch evaluation over (block, row, k-pair) triples.
 
-        Equal to :meth:`simulate_block` result for result.  Each A row's
+        Rows equal :meth:`simulate_block`'s, row for row.  Each A row's
         nonzeros pair up in K order; a pair's merged B row is the union
         of two 16-bit B row masks, and its lane-slots are the
         ``chunk_cols``-wide chunks of that union's live columns (table
@@ -178,7 +161,7 @@ class RmSTC(STCModel):
         """
         return evaluate_grouped(tasks, self._evaluate_group)
 
-    def _evaluate_group(self, tasks: List[T1Task]) -> List[BlockResult]:
+    def _evaluate_group(self, tasks: List[T1Task]) -> np.ndarray:
         a, b = stack_operands(tasks)
         count = len(tasks)
         popcount, chunk_masks = _mask_tables(self.chunk_cols)
@@ -275,4 +258,4 @@ class RmSTC(STCModel):
         rows[:, ACTION_COL["mac_ops"]] = products
         rows[:, ACTION_COL["lane_cycles"]] = self.macs * cycles
         rows[:, ACTION_COL["sched_cycles"]] = cycles
-        return box_rows(rows, _STEP_ORDER)
+        return rows

@@ -1,9 +1,9 @@
 """Bounded LRU memoisation for per-block simulation results.
 
-The engine memoises ``simulate_block`` on ``(model namespace, A bits,
+The engine memoises ``simulate_blocks`` on ``(model namespace, A bits,
 B bits)``.  Each entry is the block's **action row**: one read-only
-``VECTOR_WIDTH`` vector (:func:`~repro.arch.base.result_rows`), int64
-unless the model's counters are fractional.  :class:`BlockCache` keeps
+row in the :data:`~repro.arch.base.VECTOR_WIDTH` layout, int64 unless
+the model's counters are fractional.  :class:`BlockCache` keeps
 the rows in a bounded LRU with observable hit/miss/eviction counters:
 
 - the **engine** goes through :meth:`lookup_many` /

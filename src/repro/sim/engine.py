@@ -9,9 +9,9 @@ Because STC models are pure functions of a task's bitmap pair, per-
 block results are memoised keyed by ``(model.cache_key(), a_bits,
 b_bits)`` — the same tile patterns repeat heavily across a matrix and
 across a corpus, which is what makes corpus-scale sweeps tractable in
-Python.  A memoised result is its int64 action row
-(:func:`~repro.arch.base.result_rows`), and a run's totals are one
-weighted product over those rows.  The memo lives in a bounded LRU
+Python.  A memoised result is its int64 action row (the
+:data:`~repro.arch.base.VECTOR_WIDTH` layout ``simulate_blocks``
+returns), and a run's totals are one weighted product over those rows.  The memo lives in a bounded LRU
 (:class:`~repro.sim.blockcache.BlockCache`) with observable
 hit/miss/eviction statistics; one process-wide instance is shared by
 every core of ``simulate_parallel``; a bound
@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro import obs
-from repro.arch.base import STCModel, result_rows
+from repro.arch.base import STCModel
 from repro.arch.counters import ACTIONS
 from repro.arch.tasks import T1Task
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
@@ -184,9 +184,9 @@ def simulate_batches(
                 # Memoised results must be weight-independent (the
                 # stream weight is applied at aggregation time), so
                 # the model never sees the aggregate weight.
-                fresh = result_rows(stc.simulate_blocks(
+                fresh = stc.simulate_blocks(
                     [T1Task(keys[i][1], keys[i][2], n=n, weight=1)
-                     for i in pending]))
+                     for i in pending])
                 memo.insert_many([keys[i] for i in pending], fresh)
                 for i, row in zip(pending, fresh):
                     rows[i] = row

@@ -1,7 +1,7 @@
 """Persistent content-addressed store for per-block simulation results.
 
 The process-local :class:`~repro.sim.blockcache.BlockCache` memoises
-``simulate_block`` for one process lifetime; every new campaign, DSE
+block results for one process lifetime; every new campaign, DSE
 strategy and worker fleet re-pays the same cold simulation work.  The
 :class:`ResultStore` makes those results durable and shareable: a
 directory of append-only **segment** files plus an in-memory index,
@@ -64,8 +64,9 @@ is a loud :class:`~repro.errors.FormatError`, never a silent
 misinterpretation.
 
 **Rows, in batches.**  The store speaks the engine's currency: the
-``[N, VECTOR_WIDTH]`` action-row matrix
-(:func:`~repro.arch.base.result_rows`).  :meth:`ResultStore.lookup_many`
+``[N, VECTOR_WIDTH]`` action-row matrix that
+:meth:`~repro.arch.base.STCModel.simulate_blocks` returns (layout:
+:data:`~repro.arch.base.VECTOR_WIDTH`).  :meth:`ResultStore.lookup_many`
 decodes every hit's numeric tail with one ``np.frombuffer`` and checks
 each record's embedded key against the requested one;
 :meth:`ResultStore.insert_many` encodes the tails with one
@@ -347,7 +348,10 @@ class ResultStore:
             self.root.mkdir(parents=True, exist_ok=True)
             manifest = {"kind": "repro.store", "schema": STORE_SCHEMA,
                         "actions": list(ACTIONS)}
-            tmp = path.with_suffix(".json.tmp")
+            # A tmp name per creator: two processes creating the same
+            # store must not replace each other's tmp file.
+            tmp = path.with_name(
+                f"{MANIFEST_NAME}.{os.getpid():d}-{uuid.uuid4().hex[:8]}.tmp")
             tmp.write_text(json.dumps(manifest, indent=2) + "\n",
                            encoding="utf-8")
             os.replace(tmp, path)

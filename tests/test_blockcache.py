@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.base import VECTOR_WIDTH, result_rows
+from repro.arch.base import VECTOR_WIDTH
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.errors import ConfigError
@@ -298,8 +298,8 @@ class TestRows:
                         for a, b, _ in raw.pairs]
                 missing = [k for k in keys if cache.lookup(k) is None]
                 if missing:
-                    rows = result_rows(stc.simulate_blocks(
-                        [T1Task(k[1], k[2], n=raw.n) for k in missing]))
+                    rows = stc.simulate_blocks(
+                        [T1Task(k[1], k[2], n=raw.n) for k in missing])
                     for key, row in zip(missing, rows):
                         cache.insert(key, row)
 

@@ -2,11 +2,13 @@
 
 ``repro.arch.fastpath.simulate_blocks`` claims exact equality with the
 stepped ``UniSTC.simulate_block`` reference — not "close", *equal*,
-because the engine inserts its results into the same block cache the
-stepped path reads.  These tests enforce that claim result-for-result
+because the engine inserts its action rows into the same block cache
+the stepped path reads.  These tests enforce that claim row for row
 over every kernel's block population and over the model configurations
 the experiments actually sweep, plus the closed-form DPG statistics
-against the queue-walking decomposition they replace.
+against the queue-walking decomposition they replace.  The
+``simulate_blocks`` contract itself (rows equal ``result_rows`` of the
+stepped results, dtype included) is checked for every registered STC.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.base import VECTOR_WIDTH, result_rows
 from repro.arch.config import Precision, UniSTCConfig, parse_precision
 from repro.arch.dpg import DotProductGenerator, dpg_stats
 from repro.arch.fastpath import (
@@ -30,7 +33,7 @@ from repro.formats.bbc import BBCMatrix
 from repro.kernels import KERNELS
 from repro.kernels.batched import coalesce_raw, kernel_task_batches
 from repro.kernels.vector import SparseVector
-from repro.registry import create_stc
+from repro.registry import create_stc, registered_stcs
 from repro.workloads.synthetic import banded, random_uniform
 from tests.oracles import dpg_stats_per_task, pack_sequential
 
@@ -107,14 +110,19 @@ def _handmade_tasks() -> list:
     return tasks
 
 
-def _assert_results_equal(batch_results, step_results, label: str):
-    assert len(batch_results) == len(step_results)
-    for i, (got, want) in enumerate(zip(batch_results, step_results)):
-        context = f"{label}, task {i}"
-        assert got.cycles == want.cycles, context
-        assert got.products == want.products, context
-        assert np.array_equal(got.util_hist.bins, want.util_hist.bins), context
-        assert got.counters.as_dict() == want.counters.as_dict(), context
+def _stepped_rows(stc, tasks) -> np.ndarray:
+    """The reference rows: ``simulate_block`` per task, stacked."""
+    return result_rows([stc.simulate_block(task) for task in tasks])
+
+
+def _assert_rows_equal(rows, want, label: str):
+    """``rows`` equals ``want`` exactly, dtype included."""
+    assert isinstance(rows, np.ndarray), label
+    assert rows.shape == want.shape and rows.dtype == want.dtype, label
+    bad = np.nonzero((rows != want).any(axis=1))[0]
+    assert bad.size == 0, (
+        f"{label}, task {bad[0]}: {rows[bad[0]].tolist()} "
+        f"!= {want[bad[0]].tolist()}")
 
 
 MODEL_VARIANTS = {
@@ -131,6 +139,25 @@ MODEL_VARIANTS = {
 }
 
 
+class TestBlockContract:
+    """``simulate_blocks`` returns the stepped results' action rows."""
+
+    @pytest.fixture(scope="class")
+    def corpus_tasks(self):
+        return _kernel_tasks()
+
+    @pytest.mark.parametrize("name", registered_stcs())
+    def test_rows_equal_stepped_results(self, corpus_tasks, name):
+        stc = create_stc(name)
+        _assert_rows_equal(stc.simulate_blocks(corpus_tasks),
+                           _stepped_rows(stc, corpus_tasks), name)
+
+    @pytest.mark.parametrize("name", registered_stcs())
+    def test_empty_input_gives_empty_matrix(self, name):
+        rows = create_stc(name).simulate_blocks([])
+        assert rows.shape == (0, VECTOR_WIDTH)
+
+
 class TestBatchedParity:
     @pytest.fixture(scope="class")
     def corpus_tasks(self):
@@ -139,17 +166,15 @@ class TestBatchedParity:
     @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
     def test_kernel_blocks_match_stepped(self, corpus_tasks, variant):
         stc = MODEL_VARIANTS[variant]()
-        batch = stc.simulate_blocks(corpus_tasks)
-        stepped = [stc.simulate_block(t) for t in corpus_tasks]
-        _assert_results_equal(batch, stepped, variant)
+        _assert_rows_equal(stc.simulate_blocks(corpus_tasks),
+                           _stepped_rows(stc, corpus_tasks), variant)
 
     def test_handmade_blocks_match_stepped(self):
         tasks = _handmade_tasks()
         for variant, build in MODEL_VARIANTS.items():
             stc = build()
-            batch = stc.simulate_blocks(tasks)
-            stepped = [stc.simulate_block(t) for t in tasks]
-            _assert_results_equal(batch, stepped, f"handmade/{variant}")
+            _assert_rows_equal(stc.simulate_blocks(tasks),
+                               _stepped_rows(stc, tasks), f"handmade/{variant}")
 
     def test_mixed_width_group_order_preserved(self):
         """Matrix-B and vector-B tasks interleaved keep their slots."""
@@ -158,29 +183,33 @@ class TestBatchedParity:
         order = rng.permutation(len(tasks))
         shuffled = [tasks[i] for i in order]
         stc = UniSTC()
-        batch = stc.simulate_blocks(shuffled)
-        stepped = [stc.simulate_block(t) for t in shuffled]
-        _assert_results_equal(batch, stepped, "mixed-width")
+        _assert_rows_equal(stc.simulate_blocks(shuffled),
+                           _stepped_rows(stc, shuffled), "mixed-width")
 
     def test_baseline_models_honour_block_api(self, corpus_tasks):
-        """Models without a vectorised path fall back per block (the
+        """Models without a vectorised path step per block (the
         batched RM-STC/DS-STC paths: tests/test_baseline_fastpath.py)."""
         some = corpus_tasks[:20]
         for name in ("gamma", "sigma", "trapezoid", "nv-dtc"):
             stc = create_stc(name)
-            batch = stc.simulate_blocks(some)
-            stepped = [stc.simulate_block(t) for t in some]
-            _assert_results_equal(batch, stepped, name)
+            _assert_rows_equal(stc.simulate_blocks(some),
+                               _stepped_rows(stc, some), name)
 
-    def test_int_vector_stash_matches_action_vector(self, corpus_tasks):
+    def test_rows_match_action_vectors(self, corpus_tasks):
+        """Every batched row is int64 and equals the stepped result's
+        integer and float action vectors."""
         stc = UniSTC()
-        for result in stc.simulate_blocks(corpus_tasks[:120]):
-            vec = result.action_vector_int()
-            assert vec is not None
-            assert np.array_equal(vec.astype(np.float64), result.action_vector())
+        some = corpus_tasks[:120]
+        rows = stc.simulate_blocks(some)
+        assert rows.dtype == np.int64
+        for row, task in zip(rows, some):
+            result = stc.simulate_block(task)
+            assert np.array_equal(row, result.action_vector_int())
+            assert np.array_equal(row.astype(np.float64), result.action_vector())
 
     def test_empty_task_list(self):
-        assert UniSTC().simulate_blocks([]) == []
+        rows = UniSTC().simulate_blocks([])
+        assert rows.shape == (0, VECTOR_WIDTH) and rows.dtype == np.int64
 
 
 class TestFallbackRouting:
@@ -204,6 +233,18 @@ class TestFallbackRouting:
             tiny.simulate_block(dense)
         with pytest.raises(SimulationError):
             tiny.simulate_blocks([dense])
+
+    def test_over_budget_block_among_regular_ones_raises(self):
+        """One over-budget block steps its whole group, so the batch
+        raises even when its neighbours would schedule."""
+        tiny = UniSTC(UniSTCConfig(precision=Precision("tiny", 64, 32)))
+        eye = T1Task.from_bitmaps(np.eye(16, dtype=bool), np.eye(16, dtype=bool))
+        dense = T1Task.from_bitmaps(
+            np.ones((16, 16), bool), np.ones((16, 16), bool)
+        )
+        assert tiny.simulate_blocks([eye, eye]).shape == (2, VECTOR_WIDTH)
+        with pytest.raises(SimulationError):
+            tiny.simulate_blocks([eye, dense, eye])
 
     def test_unknown_ordering_matches_stepped_error(self):
         odd = UniSTC(ordering="spiral")

@@ -1,5 +1,6 @@
 """The import-layering lint passes on the shipped tree and catches regressions."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from check_layering import (  # noqa: E402
     NAME_DISPATCH,
     PREFIX_SNIFF,
     UNSAFE_DESERIALISE,
+    block_result_constructions,
 )
 
 
@@ -52,3 +54,23 @@ def test_dispatch_pattern_allows_data_tables():
     assert NAME_DISPATCH.search("'rm-stc': RmSTC}")
     assert not NAME_DISPATCH.search('"uni-stc": 75.0,')
     assert not NAME_DISPATCH.search('"ds-stc": [1, 2],')
+
+
+def test_block_result_only_built_by_simulate_block():
+    allowed = (
+        "class Model:\n"
+        "    def simulate_block(self, task):\n"
+        "        return BlockResult(cycles=1, products=0)\n"
+    )
+    assert block_result_constructions(ast.parse(allowed)) == []
+    violating = (
+        "def simulate_blocks(self, tasks):\n"
+        "    return [BlockResult(cycles=1, products=0) for _ in tasks]\n"
+        "def box(rows):\n"
+        "    return base.BlockResult(cycles=int(rows[0, 0]), products=0)\n"
+        "def simulate_block(self, task):\n"
+        "    def helper():\n"
+        "        return BlockResult(cycles=1, products=0)\n"
+        "    return helper()\n"
+    )
+    assert block_result_constructions(ast.parse(violating)) == [2, 4, 7]

@@ -8,6 +8,7 @@ the resilient runner's round trip through a bound store.
 
 from __future__ import annotations
 
+import os
 import struct
 import subprocess
 import sys
@@ -288,6 +289,27 @@ class TestManifest:
         (root / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="ACTIONS"):
             ResultStore(root)
+
+    def test_nested_creation_of_the_same_store(self, root, monkeypatch):
+        """A second creator that runs between the first creator's tmp
+        write and its replace leaves the first creator's tmp file alone."""
+        real_replace = os.replace
+        nested = []
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(src)
+                ResultStore(root).close()
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with ResultStore(root) as store:
+            store.insert(_key(1), _row(1))
+        monkeypatch.undo()
+        assert nested
+        assert list(root.glob("*.tmp")) == []
+        with ResultStore(root, create=False) as store:
+            assert np.array_equal(store.lookup(_key(1)), _row(1))
 
     def test_foreign_manifest_kind_is_rejected(self, root):
         root.mkdir(parents=True)

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Import-layering, STC-name-hygiene and safe-deserialisation lint.
+"""Import-layering, STC-name-hygiene, safe-deserialisation and
+block-result-representation lint.
 
-Three checks, all enforcing the architecture in docs/architecture.md:
+Four checks, all enforcing the architecture in docs/architecture.md:
 
 1. **Layering** — every package in ``src/repro`` has a layer rank;
    a module may only (unconditionally, at module scope) import repro
@@ -24,6 +25,12 @@ Three checks, all enforcing the architecture in docs/architecture.md:
    ``pickle.load(s)``/``marshal.load(s)``.  Every input from disk or
    the network goes through a validating decoder instead (JSON, the
    result store's CRC-framed records).
+
+4. **One block-result representation** — a batch of block results is
+   an ``[N, VECTOR_WIDTH]`` action-row matrix.  Outside
+   ``arch/base.py``, ``BlockResult(...)`` may only be constructed
+   inside a function named ``simulate_block`` (a model's stepped
+   reference); no batched path or consumer boxes rows as objects.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
@@ -160,9 +167,46 @@ def check_unsafe_deserialisation() -> list[str]:
     return errors
 
 
+def block_result_constructions(tree: ast.AST) -> list[int]:
+    """Lines constructing ``BlockResult`` outside a ``simulate_block``.
+
+    The innermost enclosing function decides, so a helper nested in
+    ``simulate_block`` is still flagged.
+    """
+    lines = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name == "BlockResult" and function != "simulate_block":
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return lines
+
+
+def check_block_result_construction() -> list[str]:
+    errors = []
+    base = PKG / "arch" / "base.py"
+    for path, _ in iter_modules():
+        if path == base:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for lineno in block_result_constructions(tree):
+            errors.append(f"{path}:{lineno}: BlockResult constructed outside "
+                          "a simulate_block (batches are action-row matrices)")
+    return errors
+
+
 def main() -> int:
     errors = (check_layering() + check_stc_name_hygiene()
-              + check_unsafe_deserialisation())
+              + check_unsafe_deserialisation()
+              + check_block_result_construction())
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
