@@ -67,11 +67,17 @@ def test_bench_smoke_report_structure(tmp_path):
     st = data["store"]
     assert st["cases"] == sweep["cases"]
     assert st["records"] > 0 and st["store_bytes"] > 0
+    assert st["rounds"] >= 5
     assert st["cold_seconds"] > 0 and st["warm_seconds"] > 0
+    assert st["cold_nostore_seconds"] > 0 and st["cold_over_nostore"] > 0
     assert st["warm_lru_seconds"] > 0 and st["warm_over_lru"] > 0
-    # The warm pass replays with an empty LRU against the store the
-    # cold pass populated: every lookup must hit, every byte must come
-    # from the store, and every report must be digest-identical.
+    # Ratios are medians of per-round ratios, spread their quartiles.
+    for ratio in ("cold_over_nostore", "warm_over_lru"):
+        q1, q3 = st[f"{ratio}_iqr"]
+        assert q1 <= st[ratio] <= q3
+    # The warm passes replay with an empty LRU against a store a cold
+    # pass populated: every lookup must hit, every byte must come from
+    # the store, and every report must be digest-identical.
     assert st["hit_rate"] == 1.0
     assert st["lookups"] > 0
     assert st["served_bytes"] > 0

@@ -25,9 +25,9 @@ def cmd_bench(args: argparse.Namespace, session: Session) -> int:
     store, infer = report["store"], report["infer"]
     if not store["reports_identical"]:
         bad = ", ".join(store["report_mismatches"][:5])
-        print(f"error: cold, store and LRU per-case reports diverge ({bad})",
-              file=sys.stderr)
-        session.fail("cold, store and LRU per-case reports diverge")
+        print(f"error: cold, store-less, store and LRU per-case reports "
+              f"diverge ({bad})", file=sys.stderr)
+        session.fail("cold, store-less, store and LRU per-case reports diverge")
         return 1
     if infer["model_digest"] != infer["store"]["model_digest"]:
         print("error: batched and store-replay inference digests differ",

@@ -16,16 +16,18 @@ Three sections, mirroring where corpus sweeps actually spend time:
   delta + flushed JSONL line), per-emit cost measured directly and the
   <2% budget asserted on the deterministic emits x cost estimate;
 - **store** — the persistent result store as the block cache's second
-  tier (:mod:`repro.store`): a cold sweep populating a fresh store vs
-  a warm sweep replaying from it with an empty process-local LRU, and
-  the same sweep served from a pre-warmed LRU —
-  hit rate, bytes served, warm-store over warm-LRU time, and the
-  per-case report-digest identity the replay claims.
+  tier (:mod:`repro.store`): a cold sweep writing through to a fresh
+  store vs the same sweep with no store, a warm sweep replaying from
+  the store with an empty process-local LRU, and the same sweep served
+  from a pre-warmed LRU — cold-with-store over cold-without, warm-store
+  over warm-LRU, hit rate, bytes served, and the per-case
+  report-digest identity the replay claims.
 
 Timing is best-of-``repeat`` wall seconds (``time.perf_counter``);
 best-of suppresses scheduler noise without needing a quiet machine.
-The telemetry section, whose budget is a ratio over a ~10 ms sweep,
-instead takes medians over interleaved rounds filling a fixed window.
+The telemetry and store sections, whose figures are ratios of short
+sweeps, instead take medians over interleaved rounds filling a fixed
+window.
 The store and infer sections cross-check that every route they time
 reports identical digests — a benchmark that got faster by computing
 something else is a bug, not a win.
@@ -56,16 +58,17 @@ from repro.sim.engine import simulate_kernel
 from repro.workloads.suitesparse import MatrixSpec, corpus
 
 #: Report schema version; bump when the JSON layout changes.
-BENCH_SCHEMA = 6
+BENCH_SCHEMA = 7
 
 
 def _time_best(fn: Callable[[], object], repeat: int,
                label: str = "timed") -> float:
     """Best-of-``repeat`` wall seconds for one call of ``fn``.
 
-    The timing helper of every bench section but telemetry's; each
-    repetition is also recorded as a ``bench:<label>`` span, so running
-    the harness under ``--trace`` yields a phase-by-phase timeline.
+    The timing helper of every bench section but telemetry's and
+    store's; each repetition is also recorded as a ``bench:<label>``
+    span, so running the harness under ``--trace`` yields a
+    phase-by-phase timeline.
     """
     best = float("inf")
     for _ in range(max(1, repeat)):
@@ -424,36 +427,48 @@ def bench_telemetry_overhead(
     }
 
 
-#: Minimum repetitions of the store section's two warm timings.
-WARM_REPEAT = 5
+#: Minimum summed wall seconds of the store section's timed rounds,
+#: and the fewest rounds it takes: one smoke warm sweep lasts only
+#: 5-30 ms, so a best-of over a handful of them is scheduler noise.
+STORE_WINDOW_S = 2.0
+STORE_MIN_ROUNDS = 5
 
 
 def bench_store(
     mats: Sequence[Tuple[str, BBCMatrix]],
     kernels: Sequence[str],
-    repeat: int,
 ) -> Dict[str, object]:
-    """Cold vs warm-store corpus sweep through a persistent store.
+    """Corpus sweeps through a persistent store: cold, warm and store-less.
 
-    The regime a repeated campaign actually runs in: the first sweep
-    pays every ``simulate_block`` call and writes each block result
-    through to a fresh :class:`~repro.store.ResultStore`; the second
-    sweep starts with an **empty** process-local :class:`BlockCache`
-    (a new process, as far as the cache is concerned) and must get
-    every block from the store tier instead.  Reported:
+    The regimes a repeated campaign actually runs in, each one uni-stc
+    sweep over the corpus:
 
-    - ``cold_seconds`` vs ``warm_seconds`` and the resulting
-      ``speedup`` — what the store buys a re-run;
-    - ``warm_lru_seconds`` — the same sweep served entirely from a
-      pre-warmed process LRU, and ``warm_over_lru`` — how close the
-      store replay comes to memory speed;
-    - ``hit_rate`` / ``served_bytes`` — the warm pass's store traffic
-      (the hit rate must be 1.0 here: the cold pass persisted every
-      pattern, so a miss would be a keying bug);
-    - ``reports_identical`` — per-case :func:`report_digest` identity
-      between the cold, store-served and LRU-served sweeps, the
-      byte-for-byte replay claim ``docs/store.md`` makes.
+    - **cold** — an empty LRU writing every block through to a fresh,
+      empty :class:`~repro.store.ResultStore` (a first ``repro corpus
+      --store`` campaign);
+    - **cold_nostore** — the same cold sweep with no store bound, so
+      ``cold_over_nostore`` is what write-through costs a cold run;
+    - **warm** — an **empty** LRU (a new process, as far as the cache
+      is concerned) over a store holding every block, so every block is
+      served from the store;
+    - **warm_lru** — the same sweep served from a pre-warmed process
+      LRU, so ``warm_over_lru`` is how close a store replay comes to
+      memory speed (CI gates it).
+
+    Two untimed sweeps fill the warm store and the warm LRU first; they
+    also warm process-wide memos, so the two cold regimes differ only
+    in the write-through.  The four timings then run in interleaved
+    rounds until they add up to ``STORE_WINDOW_S`` (at least
+    ``STORE_MIN_ROUNDS`` rounds).  Seconds are medians over rounds;
+    each ratio is the median of its per-round ratios, with the
+    quartiles of those ratios as its spread.  Also reported: the warm
+    passes' store ``hit_rate`` (1.0 here: a miss would be a keying
+    bug), lookups and bytes served per pass, and ``reports_identical``
+    — per-case :func:`report_digest` identity of every timed sweep with
+    the untimed store-filling sweep, the byte-for-byte replay claim
+    ``docs/store.md`` makes.
     """
+    import shutil
     import tempfile
 
     from repro.store import ResultStore
@@ -463,66 +478,77 @@ def bench_store(
         for i, (name, bbc) in enumerate(mats)
         for kernel in kernels
     ]
+    reference: Dict[str, str] = {}
+    mismatches = set()
 
-    def sweep(cache: BlockCache, digests: Dict[str, str]) -> None:
+    def sweep(cache: BlockCache) -> None:
         for name, bbc, kernel, operands in cases:
             report = simulate_kernel(
                 kernel, bbc, create_stc("uni-stc"), cache=cache, **operands
             )
-            digests[f"{kernel}:{name}"] = report_digest(report)
+            case = f"{kernel}:{name}"
+            digest = report_digest(report)
+            if reference.setdefault(case, digest) != digest:
+                mismatches.add(case)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        with ResultStore(Path(tmp) / "blockstore") as store:
-            # Cold: single pass (a repetition would no longer be cold —
-            # the store would already hold every pattern).
-            cold_digests: Dict[str, str] = {}
-            cold_cache = BlockCache(store=store)
-            cold_s = _time_best(
-                lambda: sweep(cold_cache, cold_digests), 1,
-                label="store_cold",
-            )
-            store.flush()
+    with tempfile.TemporaryDirectory() as tmp, \
+            ResultStore(Path(tmp) / "warm") as warm_store:
+        sweep(BlockCache(store=warm_store))
+        warm_store.flush()
+        lru = BlockCache(capacity=None)
+        sweep(lru)
 
-            # Warm: every repetition gets a fresh LRU, so every block
-            # is served from the store, not process memory.  The two
-            # warm timings feed the warm_over_lru ratio CI gates, so
-            # they take at least WARM_REPEAT repetitions even in smoke.
-            reps = max(repeat, WARM_REPEAT)
-            warm_digests: Dict[str, str] = {}
-            before = store.stats.snapshot()
-            warm_s = _time_best(
-                lambda: sweep(BlockCache(store=store), warm_digests),
-                reps, label="store_warm",
-            )
-            warm = store.stats.delta(before)
+        names = ("cold", "cold_nostore", "warm", "warm_lru")
+        samples: Dict[str, List[float]] = {name: [] for name in names}
+        before = warm_store.stats.snapshot()
+        rounds = 0
+        while (rounds < STORE_MIN_ROUNDS
+               or sum(map(sum, samples.values())) < STORE_WINDOW_S):
+            # Each round's cold sweep gets a fresh store, opened and
+            # closed outside its timing.
+            root = Path(tmp) / f"cold{rounds}"
+            with ResultStore(root) as cold_store:
+                caches = (BlockCache(store=cold_store), BlockCache(),
+                          BlockCache(store=warm_store), lru)
+                for name, cache in zip(names, caches):
+                    with obs.span(f"bench:store_{name}"):
+                        t0 = time.perf_counter()
+                        sweep(cache)
+                        samples[name].append(time.perf_counter() - t0)
+                records, store_bytes = len(cold_store), cold_store.bytes
+            shutil.rmtree(root)
+            rounds += 1
+        warm = warm_store.stats.delta(before)
 
-            # Warm LRU: the same sweep once more into one unbounded
-            # LRU (untimed), then served from process memory alone.
-            lru = BlockCache(capacity=None)
-            sweep(lru, {})
-            lru_digests: Dict[str, str] = {}
-            lru_s = _time_best(lambda: sweep(lru, lru_digests), reps,
-                               label="store_warm_lru")
-            mismatches = sorted(
-                case for case in cold_digests
-                if warm_digests.get(case) != cold_digests[case]
-                or lru_digests.get(case) != cold_digests[case]
-            )
-            return {
-                "cases": len(cases),
-                "records": len(store),
-                "store_bytes": store.bytes,
-                "cold_seconds": cold_s,
-                "warm_seconds": warm_s,
-                "speedup": cold_s / warm_s if warm_s else 0.0,
-                "warm_lru_seconds": lru_s,
-                "warm_over_lru": warm_s / lru_s if lru_s else 0.0,
-                "hit_rate": warm.hit_rate,
-                "lookups": warm.lookups // reps,
-                "served_bytes": warm.served_bytes // reps,
-                "reports_identical": not mismatches,
-                "report_mismatches": mismatches,
-            }
+    seconds = {name: np.asarray(samples[name]) for name in names}
+
+    def ratio(num: str, den: str) -> Tuple[float, List[float]]:
+        per_round = seconds[num] / seconds[den]
+        q1, median, q3 = np.percentile(per_round, [25, 50, 75])
+        return float(median), [float(q1), float(q3)]
+
+    cold_over_nostore, cold_spread = ratio("cold", "cold_nostore")
+    warm_over_lru, warm_spread = ratio("warm", "warm_lru")
+    return {
+        "cases": len(cases),
+        "rounds": rounds,
+        "records": records,
+        "store_bytes": store_bytes,
+        "cold_seconds": float(np.median(seconds["cold"])),
+        "cold_nostore_seconds": float(np.median(seconds["cold_nostore"])),
+        "warm_seconds": float(np.median(seconds["warm"])),
+        "warm_lru_seconds": float(np.median(seconds["warm_lru"])),
+        "speedup": ratio("cold", "warm")[0],
+        "cold_over_nostore": cold_over_nostore,
+        "cold_over_nostore_iqr": cold_spread,
+        "warm_over_lru": warm_over_lru,
+        "warm_over_lru_iqr": warm_spread,
+        "hit_rate": warm.hit_rate,
+        "lookups": warm.lookups // rounds,
+        "served_bytes": warm.served_bytes // rounds,
+        "reports_identical": not mismatches,
+        "report_mismatches": sorted(mismatches),
+    }
 
 
 def bench_infer(repeat: int, smoke: bool = False) -> Dict[str, object]:
@@ -660,7 +686,7 @@ def run_bench(
         "corpus_sweep": bench_corpus_sweep(mats, kernels, repeat),
         "obs": bench_obs_overhead(mats, kernels, repeat),
         "telemetry": bench_telemetry_overhead(mats, kernels),
-        "store": bench_store(mats, kernels, repeat),
+        "store": bench_store(mats, kernels),
         "infer": bench_infer(repeat, smoke),
     }
     if out is not None:
@@ -712,8 +738,11 @@ def render_summary(report: Dict[str, object]) -> str:
     if st:
         lines.append(
             f"store: {st['records']} records / {st['store_bytes']} bytes; "
-            f"cold {st['cold_seconds']:.3f}s -> warm {st['warm_seconds']:.3f}s "
-            f"({st['speedup']:.1f}x, {st['warm_over_lru']:.2f}x warm LRU "
+            f"medians of {st['rounds']} rounds: cold {st['cold_seconds']:.3f}s "
+            f"({st['cold_over_nostore']:.2f}x no store "
+            f"{st['cold_nostore_seconds']:.3f}s) -> warm "
+            f"{st['warm_seconds']:.3f}s ({st['speedup']:.1f}x, "
+            f"{st['warm_over_lru']:.2f}x warm LRU "
             f"{st['warm_lru_seconds']:.3f}s), hit rate {st['hit_rate']:.1%}, "
             f"{st['served_bytes']} bytes served, reports_identical="
             f"{st['reports_identical']}"

@@ -6,10 +6,11 @@ row in the :data:`~repro.arch.base.VECTOR_WIDTH` layout, int64 unless
 the model's counters are fractional.  :class:`BlockCache` keeps
 the rows in a bounded LRU with observable hit/miss/eviction counters:
 
-- the **engine** goes through :meth:`lookup_many` /
-  :meth:`insert_many` (one call per coalesced batch), which update
-  both the recency order and the statistics exactly as the per-key
-  :meth:`lookup` / :meth:`insert` would, key by key;
+- the **engine** goes through :meth:`rows_for` (one call per coalesced
+  batch): a :meth:`lookup_many`, one ``simulate`` call for the keys
+  neither tier holds, and an :meth:`insert_many` of its rows, which
+  update both the recency order and the statistics exactly as the
+  per-key :meth:`lookup` / :meth:`insert` would, key by key;
 - the **fault-injection campaign** (:mod:`repro.resilience.faults`)
   reads and restores entries through ``[]``, which is
   statistics-neutral so bookkeeping traffic never skews the measured
@@ -24,12 +25,17 @@ persists between sweep cases; results outlive the process only
 through a bound second tier.
 
 A :class:`BlockCache` may also be backed by a **second tier**: any
-object with ``lookup_many(keys) -> (rows, found)`` and
-``insert_many(keys, rows)`` (duck-typed so this module needn't import
-it; in practice a :class:`repro.store.ResultStore`).  Misses consult
-the tier -- one call per miss set -- and promote its hits into the
-LRU; inserts write through.  Tier hits count as ``hits`` (the caller
-was served without simulating) and additionally as ``store_hits``, so
+object with ``key_digests(keys) -> [digest]``,
+``lookup_many(keys, digests) -> (rows, found)`` and
+``insert_many(keys, rows, digests)`` (duck-typed so this module
+needn't import it; in practice a :class:`repro.store.ResultStore`).
+Misses consult the tier -- one call per miss set -- and promote its
+hits into the LRU; inserts write through.  The digests are opaque
+here: :meth:`rows_for` asks the tier for each LRU-missed key's digest
+once and hands the same digests to the tier's lookup and, for the
+keys it then simulates, to the write-through; with no tier bound
+nothing is digested.  Tier hits count as ``hits`` (the caller was
+served without simulating) and additionally as ``store_hits``, so
 the split is observable without changing the meaning of ``hit_rate``.
 """
 
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,7 +155,7 @@ class BlockCache:
     capacity: Optional[int] = DEFAULT_CAPACITY
     stats: CacheStats = field(default_factory=CacheStats)
     #: Optional persistent second tier (duck-typed
-    #: ``lookup_many``/``insert_many``,
+    #: ``key_digests``/``lookup_many``/``insert_many``,
     #: e.g. :class:`repro.store.ResultStore`).  Bind/unbind through
     #: :func:`repro.sim.engine.store_tier` in application code.
     store: Optional[object] = None
@@ -161,6 +167,32 @@ class BlockCache:
 
     # -- engine API (stats-aware) ----------------------------------------
 
+    def rows_for(self, keys: Sequence[CacheKey],
+                 simulate: Callable[[List[CacheKey]], np.ndarray]
+                 ) -> np.ndarray:
+        """The ``[N, VECTOR_WIDTH]`` rows of ``keys``, simulating misses.
+
+        A :meth:`lookup_many` of ``keys``; then, for the keys neither
+        tier holds, one ``simulate(missing_keys)`` call returning their
+        rows, inserted as by :meth:`insert_many`.  With a second tier
+        bound, each LRU-missed key is digested once and that digest
+        serves both the tier lookup and the write-through.  When every
+        key missed, the simulated matrix itself is returned (read-only).
+        """
+        digests: Dict[CacheKey, bytes] = {}
+        rows = self._lookup(keys, digests)
+        pending = [i for i, row in enumerate(rows) if row is None]
+        if not pending:
+            return np.stack(rows)
+        missing = [keys[i] for i in pending]
+        fresh = _frozen(simulate(missing))
+        self._insert(missing, fresh, digests)
+        if len(pending) == len(rows):
+            return fresh
+        for i, row in zip(pending, fresh):
+            rows[i] = row
+        return np.stack(rows)
+
     def lookup_many(self, keys: Sequence[CacheKey]) -> List[Optional[np.ndarray]]:
         """Fetch memoised rows, refreshing recency; ``None`` per miss.
 
@@ -171,12 +203,19 @@ class BlockCache:
         as an insert).  The tier is asked once, up front, for every
         distinct key absent from the LRU.
         """
+        return self._lookup(keys, {})
+
+    def _lookup(self, keys: Sequence[CacheKey],
+                digests: Dict[CacheKey, bytes]) -> List[Optional[np.ndarray]]:
+        """:meth:`lookup_many`, recording the tier digests it computes."""
         data, stats, store = self._data, self.stats, self.store
         fetched: Dict[CacheKey, Optional[np.ndarray]] = {}
         if store is not None:
             absent = list(dict.fromkeys(k for k in keys if k not in data))
             if absent:
-                fetched = self._fetch(absent)
+                absent_digests = store.key_digests(absent)
+                digests.update(zip(absent, absent_digests))
+                fetched = self._fetch(absent, absent_digests)
         out: List[Optional[np.ndarray]] = []
         lru_hits = store_hits = store_misses = 0
         for key in keys:
@@ -190,7 +229,9 @@ class BlockCache:
                     # Evicted by an earlier promotion of this call, or
                     # repeated after a tier miss: ask the tier again,
                     # as a per-key lookup would.
-                    row = self._fetch([key])[key]
+                    if key not in digests:
+                        digests[key] = store.key_digests([key])[0]
+                    row = self._fetch([key], [digests[key]])[key]
                 if row is not None:
                     data[key] = row
                     self._evict()
@@ -204,8 +245,11 @@ class BlockCache:
         stats.store_misses += store_misses
         return out
 
-    def _fetch(self, keys: List[CacheKey]) -> Dict[CacheKey, Optional[np.ndarray]]:
-        rows, found = self.store.lookup_many(keys)
+    def _fetch(self, keys: List[CacheKey], digests: List[bytes]
+               ) -> Dict[CacheKey, Optional[np.ndarray]]:
+        rows, found = self.store.lookup_many(keys, digests)
+        if not found.any():
+            return dict.fromkeys(keys)
         rows.setflags(write=False)
         return {key: row if hit else None
                 for key, row, hit in zip(keys, rows, found.tolist())}
@@ -218,21 +262,34 @@ class BlockCache:
         """Store ``rows[i]`` for ``keys[i]`` as most-recent, in order.
 
         ``rows`` is a ``[N, VECTOR_WIDTH]`` matrix; the cache takes it
-        over read-only.  LRU entries are evicted as each key lands, as
-        with per-key :meth:`insert`.  Writes through to the second tier
-        in one call when one is bound (the tier deduplicates
+        over read-only.  Statistics and final LRU contents equal those
+        of per-key :meth:`insert` calls.  Writes through to the second
+        tier in one call when one is bound (the tier deduplicates
         internally, so re-inserts after eviction are cheap no-ops on
         disk).
         """
-        rows = _frozen(rows)
-        data = self._data
-        for key, row in zip(keys, rows):
-            data[key] = row
-            data.move_to_end(key)
-            self.stats.inserts += 1
+        self._insert(keys, _frozen(rows), None)
+
+    def _insert(self, keys: Sequence[CacheKey], rows: np.ndarray,
+                digests: Optional[Dict[CacheKey, bytes]]) -> None:
+        data, stats = self._data, self.stats
+        if len(set(keys)) == len(keys) and data.keys().isdisjoint(keys):
+            # Distinct new keys: per-key inserts would append each and
+            # evict the oldest entries as the LRU overflows, which is
+            # one append pass and one eviction pass.
+            data.update(zip(keys, rows))
+            stats.inserts += len(keys)
             self._evict()
+        else:
+            for key, row in zip(keys, rows):
+                data[key] = row
+                data.move_to_end(key)
+                stats.inserts += 1
+                self._evict()
         if self.store is not None:
-            self.store.insert_many(keys, rows)
+            self.store.insert_many(
+                keys, rows,
+                None if digests is None else list(map(digests.__getitem__, keys)))
 
     def insert(self, key: CacheKey, row: np.ndarray) -> None:
         """Store one key's row (see :meth:`insert_many`)."""

@@ -47,7 +47,7 @@ from repro.sim.results import SimReport
 
 #: The process-wide memo.  Kept under its historic name because the
 #: fault-injection campaign addresses it via the mapping protocol; the
-#: engine itself uses the stats-aware ``lookup_many``/``insert_many`` API.
+#: engine itself uses the stats-aware ``rows_for`` API.
 _BLOCK_CACHE = BlockCache()
 
 
@@ -69,9 +69,9 @@ def clear_cache() -> None:
 def bind_store(store) -> None:
     """Attach a persistent second tier to the process-wide cache.
 
-    ``store`` is duck-typed (``lookup_many``/``insert_many``), in practice a
-    :class:`repro.store.ResultStore`.  LRU misses then consult the
-    store and inserts write through; see
+    ``store`` is duck-typed (``key_digests``/``lookup_many``/
+    ``insert_many``), in practice a :class:`repro.store.ResultStore`.
+    LRU misses then consult the store and inserts write through; see
     :class:`~repro.sim.blockcache.BlockCache`.
     """
     _BLOCK_CACHE.store = store
@@ -153,15 +153,15 @@ def simulate_batches(
 
     Each batch is coalesced so a distinct bitmap pair hits the model
     (or the memo) exactly once with its aggregate weight.  The memo
-    serves the batch's rows in one :meth:`BlockCache.lookup_many` call;
-    its misses are dispatched together through
+    serves the batch's rows in one :meth:`BlockCache.rows_for` call,
+    which dispatches its misses together through
     :meth:`~repro.arch.base.STCModel.simulate_blocks` — one array-level
-    call on models with a vectorised path — and inserted with one
-    :meth:`BlockCache.insert_many`.  Aggregation is a single weighted
-    matrix product over the action rows, carried in int64 so
-    corpus-scale totals stay exact (falling back to float64 only for
-    models whose counters are genuinely fractional) — totals equal a
-    per-task stepped run exactly.
+    call on models with a vectorised path — and memoises them, writing
+    through to a bound store with each key digested once.  Aggregation
+    is a single weighted matrix product over the action rows, carried
+    in int64 so corpus-scale totals stay exact (falling back to float64
+    only for models whose counters are genuinely fractional) — totals
+    equal a per-task stepped run exactly.
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
@@ -175,22 +175,15 @@ def simulate_batches(
             raw = coalesce_raw(batch)
             if not raw.pairs:
                 continue
-            a_bytes, b_bytes, n = raw.a_bytes, raw.b_bytes, raw.n
+            a_bytes, b_bytes = raw.a_bytes, raw.b_bytes
             keys = [(namespace, a_bytes[ai], b_bytes[bi])
                     for ai, bi, _ in raw.pairs]
-            rows = memo.lookup_many(keys)
-            pending = [i for i, row in enumerate(rows) if row is None]
-            if pending:
-                # Memoised results must be weight-independent (the
-                # stream weight is applied at aggregation time), so
-                # the model never sees the aggregate weight.
-                fresh = stc.simulate_blocks(
-                    [T1Task(keys[i][1], keys[i][2], n=n, weight=1)
-                     for i in pending])
-                memo.insert_many([keys[i] for i in pending], fresh)
-                for i, row in zip(pending, fresh):
-                    rows[i] = row
-            mats.append(np.stack(rows))
+            # Memoised results must be weight-independent (the stream
+            # weight is applied at aggregation time), so the model
+            # never sees the aggregate weight.
+            mats.append(memo.rows_for(
+                keys, lambda missing, n=raw.n: stc.simulate_blocks(
+                    [T1Task(a, b, n=n, weight=1) for _, a, b in missing])))
             weights.extend(weight for _, _, weight in raw.pairs)
     if mats:
         _aggregate(report, np.concatenate(mats), weights)

@@ -66,11 +66,16 @@ misinterpretation.
 **Rows, in batches.**  The store speaks the engine's currency: the
 ``[N, VECTOR_WIDTH]`` action-row matrix that
 :meth:`~repro.arch.base.STCModel.simulate_blocks` returns (layout:
-:data:`~repro.arch.base.VECTOR_WIDTH`).  :meth:`ResultStore.lookup_many`
-decodes every hit's numeric tail with one ``np.frombuffer`` and checks
-each record's embedded key against the requested one;
-:meth:`ResultStore.insert_many` encodes the tails with one
-``tobytes()`` and appends the whole batch with one ``write()``.
+:data:`~repro.arch.base.VECTOR_WIDTH`).  Both batch methods accept the
+keys' digests precomputed (:meth:`ResultStore.key_digests`), so a
+caller that looks a batch up and then writes its misses through
+hashes each key once.  :meth:`ResultStore.lookup_many` returns at once
+when no key is indexed; otherwise it decodes every hit's numeric tail
+with one ``np.frombuffer`` and checks each record's embedded key
+against the requested one.  :meth:`ResultStore.insert_many` frames
+each run of keys that share a namespace and A/B widths as one
+structured numpy array (prefix, key head and tail per record; one
+CRC32 per record) and appends the whole batch with one ``write()``.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ import uuid
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -186,12 +192,53 @@ def _check_tail(size: int) -> None:
             f"expected {_TAIL.itemsize} (ACTIONS vocabulary mismatch?)")
 
 
-def _encode_tails(rows: np.ndarray) -> bytes:
-    """Numeric tails of ``[N, VECTOR_WIDTH]`` rows, back to back."""
-    tails = np.empty(len(rows), dtype=_TAIL)
-    tails["ints"] = rows[:, :6]
-    tails["actions"] = rows[:, 6:]
-    return tails.tobytes()
+@lru_cache(maxsize=64)
+def _record_dtype(ns_len: int, a_len: int, b_len: int) -> np.dtype:
+    """One framed record of a key with these field widths: the prefix
+    (magic, digest, payload length, CRC) then the payload (the three
+    length-prefixed key fields and the numeric tail), packed."""
+    return np.dtype([
+        ("magic", "S4"), ("digest", "S32"), ("length", "<u4"),
+        ("crc", "<u4"),
+        ("ns_len", "<u2"), ("ns", "u1", (ns_len,)),
+        ("a_len", "<u2"), ("a", "u1", (a_len,)),
+        ("b_len", "<u2"), ("b", "u1", (b_len,)),
+        ("tail", _TAIL),
+    ])
+
+
+def _frame_run(namespace: str, a_bits: Sequence[bytes],
+               b_bits: Sequence[bytes], digests: Sequence[bytes],
+               rows: np.ndarray) -> Tuple[bytes, int, List[int]]:
+    """Framed records of the keys ``(namespace, a_bits[i], b_bits[i])``,
+    whose A and B bitmaps each share one width.
+
+    Returns ``(blob, payload_len, crcs)``: the records back to back,
+    each record's payload length and each payload's CRC32.  The bytes
+    equal the per-record schema-1 encoder's.
+    """
+    ns = _namespace_parts(namespace)[1][2:]
+    n, a_len, b_len = len(a_bits), len(a_bits[0]), len(b_bits[0])
+    rec = np.empty(n, dtype=_record_dtype(len(ns), a_len, b_len))
+    size = rec.dtype.itemsize
+    payload_len = size - _PREFIX.size
+    rec["magic"] = _MAGIC
+    rec["digest"] = np.frombuffer(b"".join(digests), dtype="S32")
+    rec["length"] = payload_len
+    rec["ns_len"] = len(ns)
+    rec["ns"] = np.frombuffer(ns, dtype=np.uint8)
+    rec["a_len"] = a_len
+    rec["a"] = np.frombuffer(b"".join(a_bits), dtype=np.uint8).reshape(n, a_len)
+    rec["b_len"] = b_len
+    rec["b"] = np.frombuffer(b"".join(b_bits), dtype=np.uint8).reshape(n, b_len)
+    rec["tail"]["ints"] = rows[:, :6]
+    rec["tail"]["actions"] = rows[:, 6:]
+    flat = memoryview(rec.view(np.uint8))
+    crc32 = zlib.crc32
+    crcs = [crc32(flat[at:at + payload_len])
+            for at in range(_PREFIX.size, n * size, size)]
+    rec["crc"] = crcs
+    return rec.tobytes(), payload_len, crcs
 
 
 def _decode_tails(blob: bytes) -> np.ndarray:
@@ -258,14 +305,11 @@ class StoreStats:
         }
 
 
-@dataclass
-class _Entry:
-    """Index entry: where a record's payload lives on disk."""
-
-    segment: Path
-    offset: int          # offset of the *payload* within the segment
-    length: int          # payload length
-    crc: int
+#: Index entry: where a record's payload lives on disk, as
+#: ``(segment id, payload offset, payload length, payload CRC32)``.  A
+#: tuple of ints: the cold path indexes a whole batch per
+#: ``insert_many``, and the garbage collector need not track it.
+_Entry = Tuple[int, int, int, int]
 
 
 @dataclass
@@ -322,6 +366,10 @@ class ResultStore:
         self._lock = threading.RLock()
         self._index: Dict[bytes, _Entry] = {}
         self._scanned: Dict[Path, int] = {}      # segment -> clean end offset
+        # Segment ids of index entries: one per segment path, however
+        # many scans index its records.
+        self._segment_ids: Dict[Path, int] = {}
+        self._segment_paths: List[Path] = []
         self._writer: Optional[object] = None    # lazily opened file handle
         self._writer_path: Optional[Path] = None
         self._readers: Dict[Path, object] = {}
@@ -421,6 +469,7 @@ class ResultStore:
 
     def _scan_segment(self, seg: Path, start: int) -> int:
         """Index records in ``seg`` from ``start``; returns records added."""
+        sid = self._segment_id(seg)
         try:
             data = seg.read_bytes()
         except FileNotFoundError:
@@ -448,7 +497,7 @@ class ResultStore:
                 self._quarantine(seg, offset, "payload CRC mismatch")
                 return added
             if digest not in self._index:
-                self._index[digest] = _Entry(seg, payload_at, length, crc)
+                self._index[digest] = (sid, payload_at, length, crc)
                 added += 1
             offset = payload_at + length
         self._scanned[seg] = offset
@@ -468,9 +517,18 @@ class ResultStore:
                          "possibly an in-progress append", seg.name, torn)
         return added
 
+    def _segment_id(self, seg: Path) -> int:
+        """The id index entries use for ``seg``, assigned on first use."""
+        sid = self._segment_ids.get(seg)
+        if sid is None:
+            sid = self._segment_ids[seg] = len(self._segment_paths)
+            self._segment_paths.append(seg)
+        return sid
+
     def _quarantine(self, seg: Path, offset: int, reason: str) -> None:
         """Interior corruption: sideline the segment, drop its records."""
-        dropped = [d for d, e in self._index.items() if e.segment == seg]
+        sid = self._segment_ids.pop(seg, None)
+        dropped = [d for d, e in self._index.items() if e[0] == sid]
         for digest in dropped:
             del self._index[digest]
         self._scanned.pop(seg, None)
@@ -495,24 +553,42 @@ class ResultStore:
 
     # -- lookups and appends ----------------------------------------------
 
-    def lookup_many(self, keys: Sequence[StoreKey]
+    def key_digests(self, keys: Sequence[StoreKey]) -> List[bytes]:
+        """``keys``' content addresses (:func:`key_digest`), in order.
+
+        Pass them to :meth:`lookup_many` and :meth:`insert_many` to
+        hash a batch once for both.
+        """
+        return [key_digest(key) for key in keys]
+
+    def lookup_many(self, keys: Sequence[StoreKey],
+                    digests: Optional[Sequence[bytes]] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Fetch stored rows: ``(rows [N, VECTOR_WIDTH], found [N])``.
 
         ``rows[i]`` is ``keys[i]``'s action row where ``found[i]``, and
-        zeros on a miss.  Hits adjacent on disk are read with one
-        ``pread``; every record's CRC and embedded key are checked, and
-        all hits' numeric tails are decoded in one ``np.frombuffer``.
-        The matrix is int64 unless a hit's counters are fractional.  A
-        record whose embedded key differs from the requested one raises
+        zeros on a miss.  ``digests`` are the keys' digests when the
+        caller already holds them (:meth:`key_digests`).  A batch with
+        no indexed key returns at once.  Otherwise hits adjacent on
+        disk are read with one ``pread``; every record's CRC and
+        embedded key are checked, and all hits' numeric tails are
+        decoded in one ``np.frombuffer``.  The matrix is int64 unless a
+        hit's counters are fractional.  A record whose embedded key
+        differs from the requested one raises
         :class:`~repro.errors.DataCorruptionError`.
         """
+        if digests is None:
+            digests = self.key_digests(keys)
         tails: List[bytes] = []
         found: List[bool] = []
         served = 0
         with self._lock:
-            entries = [self._index.get(key_digest(key)) for key in keys]
-            buf, starts = self._read_batch(entries)
+            index = self._index
+            entries = [index.get(digest) for digest in digests]
+            if entries.count(None) == len(entries):
+                buf, starts = b"", entries  # nothing indexed: no reads
+            else:
+                buf, starts = self._read_batch(entries)
             for key, entry, start in zip(keys, entries, starts):
                 found.append(start is not None)
                 if start is None:
@@ -520,13 +596,13 @@ class ResultStore:
                 head = _key_head(key)
                 if not buf.startswith(head, start):
                     raise DataCorruptionError(
-                        f"store record in {entry.segment.name} embeds a "
-                        "different key than the one its digest was "
-                        "requested for")
-                _check_tail(entry.length - len(head))
+                        f"store record in {self._segment_paths[entry[0]].name}"
+                        " embeds a different key than the one its digest "
+                        "was requested for")
+                _check_tail(entry[2] - len(head))
                 tail = start + len(head)
                 tails.append(buf[tail:tail + _TAIL.itemsize])
-                served += entry.length
+                served += entry[2]
             hits = len(tails)
             self.stats.hits += hits
             self.stats.misses += len(keys) - hits
@@ -535,8 +611,10 @@ class ResultStore:
             obs.inc("store.hits", hits)
         if len(keys) > hits:
             obs.inc("store.misses", len(keys) - hits)
-        decoded = _decode_tails(b"".join(tails))
         mask = np.array(found, dtype=bool)
+        if not hits:
+            return np.zeros((len(keys), VECTOR_WIDTH), dtype=np.int64), mask
+        decoded = _decode_tails(b"".join(tails))
         rows = np.zeros((len(keys), VECTOR_WIDTH), dtype=decoded.dtype)
         rows[mask] = decoded
         return rows, mask
@@ -565,24 +643,25 @@ class ResultStore:
                 starts.append(None)
                 i += 1
                 continue
-            seg, base = first.segment, first.offset
-            j, end = i + 1, base + first.length
+            sid, base, length, _ = first
+            j, end = i + 1, base + length
             while j < n:
                 entry = entries[j]
-                if (entry is None or entry.segment is not seg
-                        or entry.offset != end + _PREFIX.size):
+                if (entry is None or entry[0] != sid
+                        or entry[1] != end + _PREFIX.size):
                     break
-                end = entry.offset + entry.length
+                end = entry[1] + entry[2]
                 j += 1
+            seg = self._segment_paths[sid]
             fd = self._reader(seg)
             chunk = b"" if fd is None else os.pread(fd, end - base, base)
             view, have = memoryview(chunk), len(chunk)
-            for entry in entries[i:j]:
-                lo = entry.offset - base
-                hi = lo + entry.length
+            for _, offset, length, crc in entries[i:j]:
+                lo = offset - base
+                hi = lo + length
                 if hi > have:
                     starts.append(None)  # segment shrank under us
-                elif zlib.crc32(view[lo:hi]) != entry.crc:
+                elif zlib.crc32(view[lo:hi]) != crc:
                     raise DataCorruptionError(
                         f"store record in {seg.name} failed its CRC on "
                         "re-read (disk-level corruption after indexing)")
@@ -613,48 +692,69 @@ class ResultStore:
         The caller holds the lock.
         """
         buf, (start,) = self._read_batch([entry])
-        return None if start is None else buf[start:start + entry.length]
+        return None if start is None else buf[start:start + entry[2]]
 
-    def insert_many(self, keys: Sequence[StoreKey], rows: np.ndarray) -> int:
+    def insert_many(self, keys: Sequence[StoreKey], rows: np.ndarray,
+                    digests: Optional[Sequence[bytes]] = None) -> int:
         """Append one record per key whose digest is not yet indexed.
 
         ``rows`` is the ``[N, VECTOR_WIDTH]`` matrix of ``keys``' action
-        rows.  Keys already stored, or repeated within the batch, count
-        as duplicates.  The batch is one ``write()`` call on an
+        rows; ``digests`` are the keys' digests when the caller already
+        holds them (:meth:`key_digests`).  Keys already stored, or
+        repeated within the batch, count as duplicates; the rest are
+        written in first-occurrence order.  Each run of keys sharing a
+        namespace and A/B widths is framed as one structured array
+        (:func:`_frame_run`), and the batch is one ``write()`` call on an
         append-mode handle, so concurrent writers to *different*
         segments never interleave and a crash leaves at worst one torn
         record at the tail.  Returns the number of records written.
         """
-        tails = _encode_tails(np.asarray(rows))
-        size = _TAIL.itemsize
+        if digests is None:
+            digests = self.key_digests(keys)
+        rows = np.asarray(rows)
         with self._lock:
-            parts: List[bytes] = []
-            written: Dict[bytes, Tuple[int, int]] = {}
-            for i, key in enumerate(keys):
-                digest = key_digest(key)
-                if digest in self._index or digest in written:
-                    self.stats.duplicates += 1
-                    continue
-                payload = _key_head(key) + tails[i * size:(i + 1) * size]
-                crc = zlib.crc32(payload) & 0xFFFFFFFF
-                parts += (_PREFIX.pack(_MAGIC, digest, len(payload), crc),
-                          payload)
-                written[digest] = (len(payload), crc)
-            if not written:
+            index = self._index
+            first: Dict[bytes, int] = {}
+            for i, digest in enumerate(digests):
+                if digest not in index:
+                    first.setdefault(digest, i)
+            self.stats.duplicates += len(keys) - len(first)
+            if not first:
                 return 0
+            if len(first) < len(keys):
+                picked = list(first.values())
+                keys = [keys[i] for i in picked]
+                rows = rows[picked]
+            digests = list(first)
+            namespaces, a_bits, b_bits = zip(*keys)
+            runs = groupby(zip(namespaces, map(len, a_bits), map(len, b_bits)))
             writer = self._open_writer()
-            offset = writer.tell()
-            writer.write(b"".join(parts))
+            sid, offset = self._segment_ids[self._writer_path], writer.tell()
+            blobs: List[bytes] = []
+            entries = []
+            lo = 0
+            for (namespace, _, _), run in runs:
+                hi = lo + len(list(run))
+                blob, length, crcs = _frame_run(
+                    namespace, a_bits[lo:hi], b_bits[lo:hi], digests[lo:hi],
+                    rows[lo:hi])
+                size = length + _PREFIX.size
+                entries.append(zip(
+                    digests[lo:hi],
+                    zip(repeat(sid), range(offset + _PREFIX.size,
+                                           offset + len(blob), size),
+                        repeat(length), crcs)))
+                blobs.append(blob)
+                offset += len(blob)
+                lo = hi
+            writer.write(b"".join(blobs))
             writer.flush()
-            for digest, (length, crc) in written.items():
-                offset += _PREFIX.size
-                self._index[digest] = _Entry(self._writer_path, offset,
-                                             length, crc)
-                offset += length
+            for run_entries in entries:
+                index.update(run_entries)
             self._scanned[self._writer_path] = offset
-            self.stats.appends += len(written)
-        obs.inc("store.appends", len(written))
-        return len(written)
+            self.stats.appends += len(digests)
+        obs.inc("store.appends", len(digests))
+        return len(digests)
 
     def insert(self, key: StoreKey, row: np.ndarray) -> bool:
         """Append one key's row unless stored; True when written."""
@@ -666,6 +766,7 @@ class ResultStore:
             self._writer_path = self.segment_dir / name
             self._writer = open(self._writer_path, "ab")
             self._scanned[self._writer_path] = 0
+            self._segment_id(self._writer_path)
         return self._writer
 
     def flush(self) -> None:
@@ -727,20 +828,20 @@ class ResultStore:
             try:
                 with self._lock:
                     payload = self._read_payload(entry)
+                name = self._segment_paths[entry[0]].name
                 if payload is None:
-                    raise DataCorruptionError(
-                        f"record in {entry.segment.name} vanished")
+                    raise DataCorruptionError(f"record in {name} vanished")
                 if key_digest(_payload_key(payload)) != digest:
                     raise DataCorruptionError(
-                        f"record in {entry.segment.name} decodes to a "
-                        "different key than its digest")
+                        f"record in {name} decodes to a different key than "
+                        "its digest")
             except DataCorruptionError as exc:
                 if strict:
                     raise
                 errors.append(str(exc))
                 continue
             checked += 1
-            checked_bytes += entry.length
+            checked_bytes += entry[2]
         return {"records": checked, "bytes": checked_bytes, "errors": errors}
 
     def gc(self, max_bytes: Optional[int] = None) -> GCReport:
@@ -769,7 +870,7 @@ class ResultStore:
             if payload is None:
                 dropped += 1
                 continue
-            framed = _PREFIX.pack(_MAGIC, digest, len(payload), entry.crc) \
+            framed = _PREFIX.pack(_MAGIC, digest, len(payload), entry[3]) \
                 + payload
             if max_bytes is not None and budget_used + len(framed) > max_bytes:
                 dropped += 1
@@ -792,6 +893,8 @@ class ResultStore:
                     pass
         self._index.clear()
         self._scanned.clear()
+        self._segment_ids.clear()
+        self._segment_paths.clear()
         self._writer_path = None
         self._scan_segment(compact, 0)
         self._publish_gauges()

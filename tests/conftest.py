@@ -71,6 +71,19 @@ def random_bbc():
     return BBCMatrix.from_coo(random_uniform(128, 128, 0.05, seed=4))
 
 
+@pytest.fixture(scope="session")
+def smoke_cases():
+    """The ``repro bench --smoke`` cases: 4 corpus matrices x 4 kernels."""
+    from repro.kernels import KERNELS
+    from repro.perf.bench import _operands_for
+    from repro.workloads.suitesparse import corpus
+
+    mats = [(spec.name, BBCMatrix.from_coo(spec.matrix()))
+            for spec in corpus(sizes=(128,), limit=4)]
+    return [(name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
+            for i, (name, bbc) in enumerate(mats) for kernel in KERNELS]
+
+
 @pytest.fixture
 def uni():
     return UniSTC()

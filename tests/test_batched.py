@@ -24,24 +24,14 @@ from repro.kernels.batched import (
     spmv_batch,
 )
 from repro.kernels.vector import SparseVector
-from repro.perf.bench import _operands_for, report_digest
+from repro.perf.bench import report_digest
 from repro.registry import create_stc
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
 from repro.sim.parallel import block_row_work, partition_block_rows
 from repro.workloads import synthetic
-from repro.workloads.suitesparse import corpus
 
 from tests.oracles import batch_tasks, kernel_tasks, simulate_tasks
-
-
-@pytest.fixture(scope="module")
-def smoke_cases():
-    """The ``repro bench --smoke`` cases: 4 corpus matrices x 4 kernels."""
-    mats = [(spec.name, BBCMatrix.from_coo(spec.matrix()))
-            for spec in corpus(sizes=(128,), limit=4)]
-    return [(name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
-            for i, (name, bbc) in enumerate(mats) for kernel in KERNELS]
 
 
 @pytest.fixture(scope="module")

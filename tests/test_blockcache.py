@@ -243,6 +243,71 @@ class TestRows:
         # Recency follows the lookup order: key 1 is now most recent.
         assert list(cache._data) == [_key(2), _key(1)]
 
+    @pytest.mark.parametrize("batch", [[1, 3, 4, 5, 6], [1, 3, 1, 4],
+                                       [5, 2, 6], [9, 2]])
+    def test_insert_many_matches_per_key_inserts(self, batch):
+        """Distinct new keys take one append and one eviction pass;
+        repeats and resident keys go key by key.  Either way the
+        counters and the LRU order equal per-key inserts'."""
+        outcomes = []
+        for batched in (True, False):
+            cache = BlockCache(capacity=3)
+            cache.insert_many([_key(2), _key(9)], np.stack([_row(2), _row(9)]))
+            keys = [_key(i) for i in batch]
+            rows = np.stack([_row(i) for i in batch])
+            if batched:
+                cache.insert_many(keys, rows)
+            else:
+                for key, row in zip(keys, rows):
+                    cache.insert(key, row)
+            outcomes.append((list(cache._data), cache.stats.as_dict()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_rows_for_simulates_only_misses(self):
+        cache = BlockCache()
+        cache.insert_many([_key(1), _key(3)], np.stack([_row(1), _row(3)]))
+        asked = []
+
+        def simulate(keys):
+            asked.append(list(keys))
+            return np.stack([_row(k[1][0]) for k in keys])
+
+        rows = cache.rows_for([_key(i) for i in (1, 2, 3, 4)], simulate)
+        assert asked == [[_key(2), _key(4)]]
+        assert rows[:, 0].tolist() == [1, 2, 3, 4]
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.inserts) == (2, 2, 4)
+        assert cache.rows_for([_key(4), _key(2)], simulate)[:, 0].tolist() \
+            == [4, 2]
+        assert len(asked) == 1
+        # A batch that misses entirely gets the simulated matrix back.
+        fresh = []
+        rows = cache.rows_for(
+            [_key(5), _key(6)],
+            lambda keys: fresh.append(simulate(keys)) or fresh[0])
+        assert rows is fresh[0] and not rows.flags.writeable
+
+    def test_tiered_distinct_batch_matches_per_key_lookups(self, tmp_path):
+        """A batch none of whose keys is resident is promoted in one
+        pass; under capacity pressure its counters and LRU order equal
+        per-key lookups'."""
+        keys = [_key(i) for i in (1, 7, 2, 8, 3, 4)]
+        with ResultStore(tmp_path / "store") as store:
+            store.insert_many([_key(i) for i in (1, 2, 3, 4)],
+                              np.stack([_row(i) for i in (1, 2, 3, 4)]))
+            outcomes = []
+            for batched in (True, False):
+                cache = BlockCache(capacity=3, store=store)
+                cache.insert(_key(9), _row(9))
+                got = (cache.lookup_many(keys) if batched
+                       else [cache.lookup(key) for key in keys])
+                outcomes.append(([None if g is None else int(g[0])
+                                  for g in got],
+                                 list(cache._data), cache.stats.as_dict()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [1, None, 2, None, 3, 4]
+        assert outcomes[0][1] == [_key(2), _key(3), _key(4)]
+
     def test_tiered_repeats_match_per_key_lookups(self, tmp_path):
         keys = [_key(1), _key(9), _key(1), _key(9)]
         with ResultStore(tmp_path / "store") as store:

@@ -33,6 +33,7 @@ from repro.store import (
     ResultStore,
     STORE_SCHEMA,
     key_digest,
+    resultstore,
 )
 from repro.workloads.synthetic import banded
 
@@ -51,6 +52,26 @@ def _result(i: int) -> BlockResult:
 
 def _row(i: int) -> np.ndarray:
     return result_rows([_result(i)])[0]
+
+
+def _block_key(i: int, ns: str, n: int):
+    """A key shaped like the engine's: 16x16 A bits, 16 x ``n`` B bits."""
+    gen = np.random.default_rng(i)
+    return (ns, (gen.random(256) < 0.3).tobytes(),
+            (gen.random(16 * n) < 0.5).tobytes())
+
+
+def _count_preads(monkeypatch) -> list:
+    """Record every ``os.pread`` call from here on."""
+    calls = []
+    real = os.pread
+
+    def counting(fd, size, offset):
+        calls.append((size, offset))
+        return real(fd, size, offset)
+
+    monkeypatch.setattr(os, "pread", counting)
+    return calls
 
 
 def _reference_record(key, result: BlockResult) -> bytes:
@@ -205,6 +226,35 @@ class TestBatchedRows:
                             for i in (4, 1, 7, 2, 8))
         assert seg.read_bytes() == expected
 
+    def test_mixed_batch_bytes_match_per_record_encoder(self, root):
+        """One batch interleaving two namespaces and both B widths (a
+        run of three same-shaped keys among single-key runs), with
+        in-batch repeats and already-stored keys, is framed record by
+        record as the schema-1 encoder frames it, in first-occurrence
+        order, and reads back row for row."""
+        shapes = [("uni", 16), ("ds", 1), ("uni", 1), ("ds", 16)]
+        keys = {i: _block_key(i, *shapes[i % 4]) for i in range(1, 11)}
+        stored = [3, 8]
+        batch = [1, 5, 9, 2, 3, 6, 4, 2, 8, 7, 1, 10, 10]
+        fresh = [1, 5, 9, 2, 6, 4, 7, 10]
+        with ResultStore(root) as store:
+            assert store.insert_many([keys[i] for i in stored],
+                                     np.stack([_row(i) for i in stored])) == 2
+            written = store.insert_many([keys[i] for i in batch],
+                                        np.stack([_row(i) for i in batch]))
+            assert written == len(fresh)
+            assert store.stats.duplicates == len(batch) - len(fresh)
+            store.flush()
+            (seg,) = _segments(store)
+            assert seg.read_bytes() == b"".join(
+                _reference_record(keys[i], _result(i)) for i in stored + fresh)
+            order = sorted(keys, reverse=True)
+            rows, found = store.lookup_many([keys[i] for i in order])
+            assert found.all()
+            assert np.array_equal(rows, np.stack([_row(i) for i in order]))
+        with ResultStore(root) as store:
+            assert store.verify(strict=True)["records"] == len(keys)
+
     def test_reads_records_of_the_object_encoder(self, root):
         """Stores written record by record before the row path replay
         unchanged: schema 1 on disk, no migration."""
@@ -263,6 +313,132 @@ class TestBatchedRows:
             with pytest.raises(DataCorruptionError, match="different key"):
                 store.lookup(_key(1))
             assert store.verify()["errors"]
+
+
+class TestBatchedReadChecks:
+    """Every per-record check of the batched read path still runs on
+    records read back to back in one ``pread``."""
+
+    @staticmethod
+    def _segment(root, records) -> Path:
+        ResultStore(root).close()
+        seg = root / "segments" / "old.seg"
+        seg.write_bytes(b"".join(records))
+        return seg
+
+    def test_forged_record_inside_a_run_is_rejected(self, root, monkeypatch):
+        # Record 2 is key 9's valid record filed under key 2's digest.
+        forged = bytearray(_reference_record(_key(9), _result(9)))
+        forged[4:36] = key_digest(_key(2))
+        self._segment(root, [
+            _reference_record(_key(1), _result(1)), bytes(forged),
+            _reference_record(_key(3), _result(3)),
+            _reference_record(_key(4), _result(4))])
+        with ResultStore(root) as store:
+            assert len(store) == 4 and store.stats.quarantined == 0
+            preads = _count_preads(monkeypatch)
+            with pytest.raises(DataCorruptionError, match="different key"):
+                store.lookup_many([_key(i) for i in (1, 2, 3, 4)])
+            assert len(preads) == 1
+            rows, found = store.lookup_many([_key(3), _key(4)])
+            assert found.all() and rows[:, 0].tolist() == [3, 4]
+
+    def test_crc_flip_inside_a_run_is_caught_on_read(self, root, monkeypatch):
+        seg = self._segment(root, [_reference_record(_key(i), _result(i))
+                                   for i in (1, 2, 3, 4)])
+        record = len(_reference_record(_key(1), _result(1)))
+        with ResultStore(root) as store:
+            assert len(store) == 4
+            # Bit rot after indexing: flip record 2's last tail byte.
+            data = bytearray(seg.read_bytes())
+            data[2 * record - 1] ^= 0xFF
+            seg.write_bytes(bytes(data))
+            preads = _count_preads(monkeypatch)
+            with pytest.raises(DataCorruptionError, match="CRC"):
+                store.lookup_many([_key(i) for i in (1, 2, 3, 4)])
+            assert len(preads) == 1
+
+    def test_run_indexed_by_two_scans_is_one_pread(self, root, monkeypatch):
+        """A refresh globs new ``Path`` objects for known segments; the
+        records of one segment indexed before and after it still form
+        one contiguous read."""
+        writer = ResultStore(root)
+        reader = None
+        try:
+            writer.insert_many([_key(1), _key(2)],
+                               np.stack([_row(1), _row(2)]))
+            writer.flush()
+            reader = ResultStore(root)
+            assert len(reader) == 2
+            writer.insert_many([_key(3), _key(4)],
+                               np.stack([_row(3), _row(4)]))
+            writer.flush()
+            assert reader.refresh() == 2
+            preads = _count_preads(monkeypatch)
+            rows, found = reader.lookup_many([_key(i) for i in (1, 2, 3, 4)])
+            assert found.all() and rows[:, 0].tolist() == [1, 2, 3, 4]
+            assert len(preads) == 1
+        finally:
+            writer.close()
+            if reader is not None:
+                reader.close()
+
+
+class TestDigestOnce:
+    """Machine-independent gate on the store-bound paths: the store's
+    one digest function runs exactly once per LRU miss -- the store
+    lookup and the write-through share it -- and never without a store."""
+
+    @pytest.fixture()
+    def digests(self, monkeypatch) -> list:
+        calls = []
+        real = resultstore.key_digest
+
+        def counting(key):
+            calls.append(key)
+            return real(key)
+
+        monkeypatch.setattr(resultstore, "key_digest", counting)
+        return calls
+
+    @staticmethod
+    def _sweep(cache, smoke_cases) -> None:
+        for _, bbc, kernel, operands in smoke_cases:
+            simulate_kernel(kernel, bbc, UniSTC(), cache=cache, **operands)
+
+    @staticmethod
+    def _lru_misses(cache) -> int:
+        return cache.stats.store_hits + cache.stats.store_misses
+
+    def test_cold_sweep_digests_once_per_lru_miss(self, root, smoke_cases,
+                                                 digests):
+        with ResultStore(root) as store:
+            cold = BlockCache(store=store)
+            self._sweep(cold, smoke_cases)
+            assert cold.stats.store_misses == len(store) == 1938
+            assert len(digests) == self._lru_misses(cold) == 1938
+            assert store.stats.appends == 1938
+
+    def test_warm_replay_digests_once_per_lru_miss(self, root, smoke_cases,
+                                                  digests):
+        with ResultStore(root) as store:
+            self._sweep(BlockCache(store=store), smoke_cases)
+            for capacity in (None, 64):
+                digests.clear()
+                warm = BlockCache(capacity=capacity, store=store)
+                self._sweep(warm, smoke_cases)
+                assert warm.stats.store_misses == 0
+                assert len(digests) == self._lru_misses(warm)
+            # Under capacity pressure keys miss the LRU again (and a
+            # promotion can evict a key its batch still needs).
+            assert len(digests) > 1938 and warm.stats.evictions > 0
+            assert store.stats.appends == 1938
+
+    def test_storeless_cache_digests_nothing(self, smoke_cases, digests):
+        cache = BlockCache()
+        self._sweep(cache, smoke_cases)
+        assert cache.stats.misses == 1938
+        assert digests == []
 
 
 class TestManifest:
